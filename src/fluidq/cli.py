@@ -3,7 +3,8 @@
 One JSON config file drives a run; --set key=value overrides individual
 fields for sweep scripting.  Exit codes: 0 success, 1 solver invariant
 violation, 2 missing config file, 3 malformed JSON, 4 unknown key,
-5 mode/field mismatch.
+5 invalid input (mode/field mismatch, bad values, distributions or initial
+states, or a fluid step that does not converge).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ _MODE_REQUIRED = {
     "gc-check": {"distribution"},
 }
 _ALL_KEYS = _COMMON_KEYS | set().union(*_MODE_KEYS.values())
+_GRID_MODES = {"fluid-solve", "ode-check", "compare"}   # modes that march a dt grid
 
 
 class ConfigError(Exception):
@@ -80,13 +82,28 @@ def _require(raw: dict, mode: str) -> None:
                           f"mode {mode!r} requires missing field(s): {', '.join(missing)}")
 
 
+def _off_grid(t: float, dt: float) -> bool:
+    return abs(t - round(t / dt) * dt) > 1e-12 * max(1.0, abs(t))
+
+
 def _check_grid_alignment(raw: dict) -> None:
     dt = float(raw.get("dt", 1e-3))
     for key in ("snapshot_times", "profile_times"):
         for t in raw.get(key, []):
-            if abs(t - round(t / dt) * dt) > 1e-12 * max(1.0, abs(t)):
+            if _off_grid(t, dt):
                 raise ConfigError(EXIT_MODE_MISMATCH,
                                   f"{key} entry {t!r} is not a multiple of dt={dt!r}")
+    if raw["mode"] in _GRID_MODES and _off_grid(float(raw["horizon"]), dt):
+        raise ConfigError(EXIT_MODE_MISMATCH,
+                          f"horizon {raw['horizon']!r} is not a multiple of dt={dt!r}")
+
+
+def _check_server_counts(raw: dict) -> None:
+    ns = raw.get("n", [])
+    for n in ns if isinstance(ns, list) else [ns]:
+        whole = isinstance(n, (int, float)) and not isinstance(n, bool) and float(n).is_integer()
+        if not (whole and n >= 1):
+            raise ConfigError(EXIT_MODE_MISMATCH, f"n entry {n!r} is not a positive integer")
 
 
 def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -123,6 +140,7 @@ def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
         if key in allowed or key in _COMMON_KEYS:
             raw.setdefault(key, val)
     _check_grid_alignment(raw)
+    _check_server_counts(raw)
     return RunConfig(mode=mode, raw=raw, out=str(raw.get("out", ".")))
 
 
@@ -216,11 +234,14 @@ def _run_equilibrium(cfg: RunConfig, out: str) -> int:
 
 
 def _run_ode_check(cfg: RunConfig, out: str) -> int:
-    oc = expode.ExpOdeConfig(
-        service_rate=float(cfg["mu"]), patience_rate=float(cfg["alpha"]),
-        traffic_intensity=float(cfg["rho"]), x0=float(cfg.get("x0", 0.0)),
-        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
-    )
+    try:
+        oc = expode.ExpOdeConfig(
+            service_rate=float(cfg["mu"]), patience_rate=float(cfg["alpha"]),
+            traffic_intensity=float(cfg["rho"]), x0=float(cfg.get("x0", 0.0)),
+            horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid ode-check config: {exc}") from exc
     result = expode.cross_check(oc)
     _write_csv(os.path.join(out, "ode_check.csv"), ["t", "X_ode", "X_fluid", "diff"],
                zip(result.times, result.ode, result.fluid, np.abs(result.fluid - result.ode)))
@@ -232,8 +253,7 @@ def _sim_configs(cfg: RunConfig):
     lam = float(cfg["arrival_rate"])
     patience = _dist(cfg.raw, "patience")
     service = _dist(cfg.raw, "service")
-    base_arrival = (distribution_from_dict(cfg["arrival"]) if "arrival" in cfg.raw
-                    else Exponential(lam))
+    base_arrival = _dist(cfg.raw, "arrival") if "arrival" in cfg.raw else Exponential(lam)
     ns = cfg["n"]
     ns = [int(ns)] if isinstance(ns, (int, float)) else [int(v) for v in ns]
     snapshot_times = tuple(float(t) for t in cfg.get("snapshot_times",
@@ -244,16 +264,20 @@ def _sim_configs(cfg: RunConfig):
         if init_spec == "equilibrium":
             state = eq.equilibrium_state(lam, patience, service, _probes(cfg))
             initial = simulator.FluidMatchedInit(state.buffer_tail, state.server_tail)
-        yield n, simulator.SimConfig(
-            num_servers=n,
-            interarrival=base_arrival.time_scaled(1.0 / n),
-            patience=patience, service=service,
-            horizon=float(cfg["horizon"]),
-            snapshot_times=snapshot_times,
-            seed=int(cfg["seed"]),
-            replications=int(cfg["replications"]),
-            initial=initial,
-        ), lam, patience, service
+        try:
+            sim_cfg = simulator.SimConfig(
+                num_servers=n,
+                interarrival=base_arrival.time_scaled(1.0 / n),
+                patience=patience, service=service,
+                horizon=float(cfg["horizon"]),
+                snapshot_times=snapshot_times,
+                seed=int(cfg["seed"]),
+                replications=int(cfg["replications"]),
+                initial=initial,
+            )
+        except ValueError as exc:
+            raise ConfigError(EXIT_MODE_MISMATCH, f"invalid simulation config: {exc}") from exc
+        yield n, sim_cfg, lam, patience, service
 
 
 def _threads() -> int:
@@ -341,6 +365,13 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> int:
     except fluid.InvariantViolationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVARIANT
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (fluid.FluidModelError, fluid.NoConvergenceError, DistributionError,
+            eq.EquilibriumError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MODE_MISMATCH
 
 
 def _parse_override(text: str):

@@ -5,10 +5,11 @@ driven by the service distribution, its equilibrium distribution, and the
 patience distribution through the survival map H.  The solver marches a
 uniform time grid: convolution integrals are Lebesgue-Stieltjes sums with
 exact CDF increments over the grid cells, the integrand taken at the newest
-grid value, and the final cell resolved by a small contraction iteration.
-From the solved X(t) the queue, busy-server, virtual-buffer and scheduled
-masses follow in closed form, and measure-valued buffer/server profiles can
-be materialized at any grid time.
+grid value.  The final cell is solved for the offered wait w by a bracketed
+Newton iteration; the queue lambda * F_d(w), the survival sf(w), the
+virtual buffer lambda * w and X follow from w directly.  The busy-server
+and scheduled masses follow in closed form, and measure-valued
+buffer/server profiles can be materialized at any grid time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class InvalidInitialError(FluidModelError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Inner fixed-point iteration exceeded its cap (signals a bad distribution)."""
+    """A step's Newton iteration exceeded its cap (signals a bad distribution or tolerance)."""
 
 
 class InvariantViolationError(RuntimeError):
@@ -193,12 +194,11 @@ def survival_at_offered_wait(arrival_rate: float, patience: DistributionSpec, qu
 
     For queue mass q the offered wait is the inverse integrated patience
     survival at q/arrival_rate; the value is the patience complement there.
-    Nonincreasing in q, equal to 0 from arrival_rate onward.
+    Nonincreasing in q, equal to 0 from arrival_rate times the patience tail
+    area onward.
     """
     if queue_mass <= 0.0:
         return float(patience.sf(0.0))
-    if queue_mass >= arrival_rate:
-        return 0.0
     wait = patience.integrated_sf_inverse(queue_mass / arrival_rate)
     if math.isinf(wait):
         return 0.0
@@ -234,6 +234,8 @@ class FluidSolution:
     busy: np.ndarray        # Z = X ^ 1
     virtual: np.ndarray     # R
     scheduled: np.ndarray   # B = arrival_rate * t - R
+    inner_iterations: int = 0        # step-equation evaluations over the march
+    max_step_residual: float = 0.0   # worst accepted |g| of a step
 
     def grid_index(self, t: float) -> int:
         k = int(round(t / self.config.dt))
@@ -283,17 +285,37 @@ class FluidSolution:
 # -- solver ---------------------------------------------------------------------
 
 
-def _grid_increments(cfg: FluidConfig, times: np.ndarray):
+def _reversed_increments(cfg: FluidConfig, times: np.ndarray):
+    """Grid increments of Ge and G, newest-first: entry -1 - m is cell m's increment.
+
+    The history sums pair the value at step j with the increment of cell
+    k - j; reversed once, both arrays are read as contiguous slices.
+    """
     ge = np.asarray(cfg.service.equilibrium_cdf(times))
     g = np.asarray(cfg.service.cdf(times))
-    return np.diff(ge), np.diff(g)
+    return np.ascontiguousarray(np.diff(ge)[::-1]), np.ascontiguousarray(np.diff(g)[::-1])
 
 
 def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = None,
           *, inner_start_offset: float = 0.0) -> FluidSolution:
     """March the fluid fixed-point equation over the grid.
 
-    Raises NoConvergenceError if an inner iteration fails to contract and
+    Each step solves for the offered wait w, from which the queue
+    Q = arrival_rate * integrated_sf(w), the survival H = sf(w), the system
+    X = 1 + Q and the virtual buffer R = arrival_rate * w all follow.  The
+    step equation
+
+        g(w) = arrival_rate (1 - dG_0) F_d(w) + 1 - base - rho dGe_0 sf(w) = 0,
+
+    with F_d the integrated patience survival and base the initial load plus
+    the history sums, is increasing in w.  If g(0) >= 0 the queue is empty
+    and X follows in closed form; otherwise a Newton iteration bracketed in
+    w, started from the linear extrapolation of the last two waits, runs
+    until |g| <= cfg.tol, falling back to bisection (or to doubling while no
+    upper bound is known) when a step leaves the bracket or g' vanishes.
+    inner_start_offset shifts that start, to test that the root is unique.
+
+    Raises NoConvergenceError if a step exceeds the iteration cap and
     InvariantViolationError if the solved trajectories break the structural
     invariants (nondecreasing scheduled mass, queue capped by the patience
     tail area).
@@ -305,59 +327,85 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
 
     lam = cfg.arrival_rate
     rho = cfg.traffic_intensity
+    patience = cfg.patience
+    support_end = patience.stats().support_end
     steps = int(round(cfg.horizon / cfg.dt))
     times = np.arange(steps + 1) * cfg.dt
-    d_ge, d_g = _grid_increments(cfg, times)
+    rev_ge, rev_g = _reversed_increments(cfg, times)
     load = np.asarray(initial_load(cfg, init, times))
-
-    def h_fn(q):
-        return survival_at_offered_wait(lam, cfg.patience, q)
+    a = lam * (1.0 - rev_g[-1])     # g'(w) = a sf(w) + b pdf(w)
+    b = rho * rev_ge[-1]
+    sf0 = float(patience.sf(0.0))
+    slope0 = a * sf0 + b * float(patience.pdf(0.0))
 
     x = np.empty(steps + 1)
-    surv = np.empty(steps + 1)   # H(queue) at grid values
     qv = np.empty(steps + 1)     # queue at grid values
+    surv = np.empty(steps + 1)   # H(queue) at grid values; index 0 is never read
+    wait = np.empty(steps + 1)   # offered wait at grid values
     x[0] = init.system0
     qv[0] = max(x[0] - 1.0, 0.0)
-    surv[0] = h_fn(qv[0])
+    wait[0] = init.virtual0 / lam
+    iterations = 0
+    worst = 0.0
 
     for k in range(1, steps + 1):
-        if k >= 2:
-            base = (
-                load[k]
-                + rho * np.dot(surv[1:k][::-1], d_ge[1:k])
-                + np.dot(qv[1:k][::-1], d_g[1:k])
-            )
-        else:
-            base = load[k]
-        xk = x[k - 1] + inner_start_offset
+        base = (load[k]
+                + rho * np.dot(surv[1:k], rev_ge[steps - k:steps - 1])
+                + np.dot(qv[1:k], rev_g[steps - k:steps - 1]))
+        g0 = 1.0 - base - b * sf0
+        if g0 >= 0.0:
+            x[k] = base + b * sf0
+            qv[k] = 0.0
+            surv[k] = sf0
+            wait[k] = 0.0
+            continue
+        lo, hi = 0.0, math.inf
+        w = 2.0 * wait[k - 1] - wait[max(k - 2, 0)] + inner_start_offset
+        if not w > lo:  # one Newton step from w = 0, where g is already known
+            w = -g0 / slope0 if slope0 > 0.0 else cfg.dt
         for _ in range(_INNER_CAP):
-            q = max(xk - 1.0, 0.0)
-            xn = base + rho * h_fn(q) * d_ge[0] + q * d_g[0]
-            if abs(xn - xk) <= cfg.tol:
-                xk = xn
+            fd = patience.integrated_sf(w)
+            sf = patience.sf(w)
+            g = a * fd + 1.0 - base - b * sf
+            iterations += 1
+            if abs(g) <= cfg.tol:
                 break
-            xk = xn
+            if g < 0.0:
+                lo = w
+            else:
+                hi = w
+            slope = a * sf + b * patience.pdf(w)
+            newton = w - g / slope if slope > 0.0 else math.nan
+            if lo < newton < hi:
+                w = newton
+            elif hi < math.inf:
+                w = 0.5 * (lo + hi)
+            elif w >= support_end:  # g is flat and negative past the support
+                raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
+            else:
+                w = 2.0 * w
         else:
-            raise NoConvergenceError("no-convergence: inner fixed point exceeded iteration cap")
-        x[k] = xk
-        qv[k] = max(xk - 1.0, 0.0)
-        surv[k] = h_fn(qv[k])
+            raise NoConvergenceError("no-convergence: inner Newton iteration exceeded its cap")
+        worst = max(worst, abs(g))
+        x[k] = 1.0 + lam * fd
+        qv[k] = x[k] - 1.0
+        surv[k] = sf
+        wait[k] = w
 
     busy = np.minimum(x, 1.0)
-    virtual = lam * np.array([cfg.patience.integrated_sf_inverse(v) for v in qv / lam])
+    virtual = lam * wait
     scheduled = lam * times - virtual
 
-    if not np.all(np.isfinite(virtual)):
-        raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
     if scheduled.size > 1 and float(np.min(np.diff(scheduled))) < -1e-12:
         raise InvariantViolationError("invariant-violation: B nondecreasing")
-    tail_area = cfg.patience.stats().integrated_sf_total
+    tail_area = patience.stats().integrated_sf_total
     if math.isfinite(tail_area) and float(np.max(qv)) > lam * tail_area + 1e-9:
         raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
 
     return FluidSolution(
         config=cfg, initial=init, times=times,
         system=x, queue=qv, busy=busy, virtual=virtual, scheduled=scheduled,
+        inner_iterations=iterations, max_step_residual=worst,
     )
 
 
@@ -382,20 +430,26 @@ def check_queue_drain_monotone(sol: FluidSolution) -> float:
 
 
 def fixed_point_residual(sol: FluidSolution) -> float:
-    """Max gap when the solved trajectory is plugged back into the discretized equation."""
+    """Max gap when the solved trajectory is plugged back into the discretized equation.
+
+    The survival values are recomputed from the solved queue through
+    survival_at_offered_wait, not taken from the solver, so the check stays
+    independent of the march.
+    """
     cfg = sol.config
     rho = cfg.traffic_intensity
-    d_ge, d_g = _grid_increments(cfg, sol.times)
+    rev_ge, rev_g = _reversed_increments(cfg, sol.times)
+    steps = rev_ge.size
     load = np.asarray(initial_load(cfg, sol.initial, sol.times))
     surv = np.array(
         [survival_at_offered_wait(cfg.arrival_rate, cfg.patience, q) for q in sol.queue]
     )
     worst = 0.0
-    for k in range(1, sol.times.size):
+    for k in range(1, steps + 1):
         rhs = (
             load[k]
-            + rho * np.dot(surv[1 : k + 1][::-1], d_ge[:k])
-            + np.dot(sol.queue[1 : k + 1][::-1], d_g[:k])
+            + rho * np.dot(surv[1 : k + 1], rev_ge[steps - k :])
+            + np.dot(sol.queue[1 : k + 1], rev_g[steps - k :])
         )
         worst = max(worst, abs(sol.system[k] - rhs))
     return worst

@@ -73,6 +73,49 @@ def test_main_exit_codes_for_config_errors(tmp_path):
     assert cli.main(["--config", str(tmp_path / "nope.json")]) == cli.EXIT_MISSING_FILE
 
 
+_SOLVE = {"mode": "fluid-solve", "arrival_rate": 1.2, "patience": EXP, "service": EXP,
+          "horizon": 1.0, "dt": 0.01}
+_SIM = {"mode": "simulate", "arrival_rate": 1.2, "patience": EXP, "service": EXP,
+        "n": 4, "horizon": 2.0, "snapshot_times": [1.0, 2.0], "replications": 1}
+
+EXIT_CASES = {
+    "missing file": (None, cli.EXIT_MISSING_FILE),
+    "malformed JSON": ("{mode: fluid-solve", cli.EXIT_MALFORMED),
+    "unknown key": ({**_SOLVE, "lamda": 2.0}, cli.EXIT_UNKNOWN_KEY),
+    "invariant violation": ({**_SOLVE, "arrival_rate": 20.0, "horizon": 4.0, "dt": 0.2,
+                             "patience": {"family": "uniform", "lo": 1.0, "hi": 1.2}},
+                            cli.EXIT_INVARIANT),
+    "zero servers": ({**_SIM, "n": 0}, cli.EXIT_MODE_MISMATCH),
+    "zero servers in a list": ({**_SIM, "mode": "compare", "n": [4, 0]},
+                               cli.EXIT_MODE_MISMATCH),
+    "horizon off the dt grid": ({**_SOLVE, "dt": 0.3}, cli.EXIT_MODE_MISMATCH),
+    "queue without full servers": ({**_SOLVE, "initial": {"r0": 0.5}}, cli.EXIT_MODE_MISMATCH),
+    "fluid step never converges": ({**_SOLVE, "arrival_rate": 2.0, "tolerance": -1.0},
+                                   cli.EXIT_MODE_MISMATCH),
+    "patience without density": ({**_SOLVE, "patience": {"family": "deterministic",
+                                                         "value": 1.0}},
+                                 cli.EXIT_MODE_MISMATCH),
+    "bad arrival distribution": ({**_SIM, "arrival": {"family": "weibull"}},
+                                 cli.EXIT_MODE_MISMATCH),
+    "snapshot beyond the horizon": ({**_SIM, "snapshot_times": [1.0, 3.0]},
+                                    cli.EXIT_MODE_MISMATCH),
+    "ode-check rate not positive": ({"mode": "ode-check", "rho": 1.0, "alpha": 1.0, "mu": 0.0,
+                                     "horizon": 1.0}, cli.EXIT_MODE_MISMATCH),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys):
+    doc, expected = EXIT_CASES[case]
+    path = tmp_path / "config.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == expected
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_equilibrium_mode_emits_json(tmp_path, capsys):
     path = _write_config(tmp_path, {"mode": "equilibrium", "arrival_rate": 0.8,
                                     "patience": EXP, "service": EXP})

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fluidq.distributions import Exponential, LogNormal, Uniform
+from fluidq.distributions import Exponential, HyperExponential, LogNormal, Uniform
 from fluidq.equilibrium import equilibrium_state
 from fluidq.fluid import (
     EMPTY_SERVERS,
@@ -81,12 +82,13 @@ def test_survival_map_examples():
 
 
 def test_survival_map_exponential_closed_form():
-    # for exponential patience the map is linear: 1 - alpha q / lambda
-    lam, alpha = 2.0, 1.0
-    for q in np.linspace(0.0, 1.9, 25):
-        expected = 1.0 - alpha * q / lam
-        assert survival_at_offered_wait(lam, Exponential(alpha), float(q)) == pytest.approx(
-            expected, abs=1e-12)
+    # for exponential patience the map is linear: 1 - alpha q / lambda, and it
+    # reaches 0 at q = lambda / alpha, beyond lambda when the mean patience exceeds 1
+    for lam, alpha in ((2.0, 1.0), (1.0, 0.5)):
+        for q in np.linspace(0.0, 0.95 * lam / alpha, 25):
+            expected = 1.0 - alpha * q / lam
+            assert survival_at_offered_wait(lam, Exponential(alpha), float(q)) == pytest.approx(
+                expected, abs=1e-12)
 
 
 def test_survival_map_nonincreasing():
@@ -177,6 +179,68 @@ def test_fixed_point_residual_within_tolerance():
     cfg = _cfg(2.0, Exponential(2.0), Exponential(1.0), horizon=2.0)
     sol = solve(cfg)
     assert fixed_point_residual(sol) <= 2.0 * cfg.tol
+
+
+def test_fixed_point_residual_detects_a_perturbed_system_value():
+    sol = solve(_cfg(2.0, Exponential(2.0), Exponential(1.0), horizon=2.0, dt=4e-3))
+    system = sol.system.copy()
+    system[300] += 1e-6
+    assert fixed_point_residual(dataclasses.replace(sol, system=system)) > 1e-7
+
+
+def test_solve_reports_newton_diagnostics():
+    cfg = _cfg(1.5, LogNormal.from_mean_cv(1.0, 1.0), Exponential(1.0), horizon=2.0, dt=4e-3)
+    sol = solve(cfg)
+    queued_steps = int(np.count_nonzero(sol.queue[1:] > 0.0))
+    assert queued_steps > 0
+    assert sol.inner_iterations >= queued_steps
+    assert 0.0 < sol.max_step_residual <= cfg.tol
+
+
+PATIENCE_FAMILIES = {
+    "exponential": Exponential(1.0),
+    "uniform": Uniform(0.0, 2.0),
+    "lognormal": LogNormal.from_mean_cv(1.0, 1.0),
+    "hyperexponential": HyperExponential((0.4, 0.6), (0.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("start", ["empty", "equilibrium"])
+@pytest.mark.parametrize("family", sorted(PATIENCE_FAMILIES))
+def test_offered_wait_root_ties_queue_system_and_virtual_buffer(family, start):
+    lam, patience, service = 1.5, PATIENCE_FAMILIES[family], Exponential(1.0)
+    init = None
+    if start == "equilibrium":
+        init = equilibrium_state(lam, patience, service,
+                                 np.linspace(-4.0, 4.0, 65)).initial_condition()
+    sol = solve(_cfg(lam, patience, service, horizon=2.0, dt=4e-3), init)
+    np.testing.assert_allclose(sol.queue,
+                               lam * np.asarray(patience.integrated_sf(sol.virtual / lam)),
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(sol.queue, np.maximum(sol.system - 1.0, 0.0))
+    assert fixed_point_residual(sol) <= 2e-10
+
+
+def test_newton_step_past_the_patience_support_end_converges():
+    # Below lo the step equation's slope is lambda (1 - dG_0) alone, so the
+    # first Newton step from a wait just under lo overshoots past hi, where
+    # sf = pdf = 0 and g' vanishes; the bracket must take over.
+    past_end = []
+
+    class RecordingUniform(Uniform):
+        def sf(self, x):
+            if np.ndim(x) == 0 and x > self.hi:
+                past_end.append(float(x))
+            return super().sf(x)
+
+    lam, patience = 10.0, RecordingUniform(1.0, 1.2)
+    cfg = _cfg(lam, patience, Exponential(1.0), horizon=2.0, dt=0.25)
+    init = InitialCondition(virtual_buffer_mass=lam * 0.99, server_profile=EquilibriumShaped(1.0))
+    sol = solve(cfg, init)
+    assert past_end
+    assert float(np.max(sol.virtual / lam)) <= patience.hi
+    assert sol.max_step_residual <= cfg.tol
+    assert fixed_point_residual(sol) <= 2e-10
 
 
 def test_grid_refinement_is_first_order():
