@@ -20,18 +20,19 @@ from .fluid import (
     InitialCondition,
     InvalidInitialError,
     InvariantViolationError,
+    MeasureProfiles,
     ServiceComplementShaped,
     TabulatedProfile,
     check_queue_drain_monotone,
     fixed_point_residual,
     initial_load,
+    initial_profiles,
     solve,
     survival_at_offered_wait,
     validate_initial,
 )
 from .measures import TailMeasure, sup_distance, uniform_probes
 from .simulator import (
-    FluidMatchedInit,
     SimConfig,
     SystemSnapshot,
     compare_to_fluid,

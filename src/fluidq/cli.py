@@ -54,6 +54,12 @@ _MODE_REQUIRED = {
 }
 _ALL_KEYS = _COMMON_KEYS | set().union(*_MODE_KEYS.values())
 _GRID_MODES = {"fluid-solve", "ode-check", "compare"}   # modes that march a dt grid
+# numeric fields, each with the least whole value it takes (None: any finite number)
+_NUMERIC_KEYS = {"arrival_rate": None, "horizon": None, "dt": None, "tolerance": None,
+                 "rho": None, "alpha": None, "mu": None, "x0": None,
+                 "snapshot_times": None, "profile_times": None,
+                 "n": 1, "replications": 1, "seed": 0, "sample_count": 0}
+_TIME_LISTS = {"snapshot_times", "profile_times"}
 
 
 class ConfigError(Exception):
@@ -82,12 +88,37 @@ def _require(raw: dict, mode: str) -> None:
                           f"mode {mode!r} requires missing field(s): {', '.join(missing)}")
 
 
+def _number(value, what: str, least=None):
+    """value if it is a finite JSON number, and a whole one >= least when least is given."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if ok and least is not None:
+        ok = float(value).is_integer() and value >= least
+    if not ok:
+        kind = "a finite number" if least is None else f"a whole number >= {least}"
+        raise ConfigError(EXIT_MODE_MISMATCH, f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _check_numbers(raw: dict) -> None:
+    for key, least in _NUMERIC_KEYS.items():
+        if key not in raw:
+            continue
+        value = raw[key]
+        listed = key in _TIME_LISTS or (key == "n" and isinstance(value, list))
+        if listed and not isinstance(value, list):
+            raise ConfigError(EXIT_MODE_MISMATCH, f"{key} must be a list, got {value!r}")
+        for v in value if listed else [value]:
+            _number(v, f"{key} entry" if listed else key, least)
+
+
 def _off_grid(t: float, dt: float) -> bool:
     return abs(t - round(t / dt) * dt) > 1e-12 * max(1.0, abs(t))
 
 
 def _check_grid_alignment(raw: dict) -> None:
     dt = float(raw.get("dt", 1e-3))
+    if not dt > 0.0:
+        raise ConfigError(EXIT_MODE_MISMATCH, f"dt must be positive, got {dt!r}")
     for key in ("snapshot_times", "profile_times"):
         for t in raw.get(key, []):
             if _off_grid(t, dt):
@@ -96,14 +127,6 @@ def _check_grid_alignment(raw: dict) -> None:
     if raw["mode"] in _GRID_MODES and _off_grid(float(raw["horizon"]), dt):
         raise ConfigError(EXIT_MODE_MISMATCH,
                           f"horizon {raw['horizon']!r} is not a multiple of dt={dt!r}")
-
-
-def _check_server_counts(raw: dict) -> None:
-    ns = raw.get("n", [])
-    for n in ns if isinstance(ns, list) else [ns]:
-        whole = isinstance(n, (int, float)) and not isinstance(n, bool) and float(n).is_integer()
-        if not (whole and n >= 1):
-            raise ConfigError(EXIT_MODE_MISMATCH, f"n entry {n!r} is not a positive integer")
 
 
 def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -139,8 +162,8 @@ def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
     for key, val in defaults.items():
         if key in allowed or key in _COMMON_KEYS:
             raw.setdefault(key, val)
+    _check_numbers(raw)
     _check_grid_alignment(raw)
-    _check_server_counts(raw)
     return RunConfig(mode=mode, raw=raw, out=str(raw.get("out", ".")))
 
 
@@ -153,11 +176,16 @@ def _dist(raw, key) -> DistributionSpec:
 
 def _probes(cfg: RunConfig) -> np.ndarray:
     spec = cfg.get("probes", {}) or {}
+    if not isinstance(spec, dict):
+        raise ConfigError(EXIT_MODE_MISMATCH, f"probes must be an object, got {spec!r}")
     horizon = float(cfg.get("horizon", 10.0))
-    lo = float(spec.get("lo", -horizon))
-    hi = float(spec.get("hi", horizon))
-    count = int(spec.get("count", 512))
-    return uniform_probes(lo, hi, count)
+    lo = _number(spec.get("lo", -horizon), "probes lo")
+    hi = _number(spec.get("hi", horizon), "probes hi")
+    count = _number(spec.get("count", 512), "probes count", least=2)
+    try:
+        return uniform_probes(float(lo), float(hi), int(count))
+    except ValueError as exc:
+        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid probes: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -173,43 +201,48 @@ def _write_csv(path: str, header: list, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _initial_condition(cfg: RunConfig, lam: float, patience, service) -> fluid.InitialCondition:
+_SERVER_SHAPES = {"equilibrium-shaped": fluid.EquilibriumShaped,
+                  "service-complement": fluid.ServiceComplementShaped}
+
+
+def _initial_condition(cfg: RunConfig, fc: fluid.FluidConfig) -> fluid.InitialCondition:
     spec = cfg.get("initial")
     if spec in (None, "empty"):
         return fluid.InitialCondition()
     if spec == "equilibrium" or (isinstance(spec, dict) and spec.get("kind") == "equilibrium"):
-        state = eq.equilibrium_state(lam, patience, service, _probes(cfg))
+        state = eq.equilibrium_state(fc.arrival_rate, fc.patience, fc.service, _probes(cfg))
         return state.initial_condition()
     if isinstance(spec, dict):
         profile_spec = spec.get("server_profile", {"kind": "empty"})
-        kind = profile_spec.get("kind", "empty")
+        kind = profile_spec.get("kind", "empty") if isinstance(profile_spec, dict) else None
         if kind == "empty":
             profile = fluid.EMPTY_SERVERS
-        elif kind == "equilibrium-shaped":
-            profile = fluid.EquilibriumShaped(float(profile_spec["z"]))
-        elif kind == "service-complement":
-            profile = fluid.ServiceComplementShaped(float(profile_spec["z"]))
+        elif kind in _SERVER_SHAPES:
+            z = _number(profile_spec.get("z"), f"{kind} server profile z")
+            profile = _SERVER_SHAPES[kind](float(z))
         else:
-            raise ConfigError(EXIT_MODE_MISMATCH, f"unknown server profile kind {kind!r}")
-        return fluid.InitialCondition(
-            virtual_buffer_mass=float(spec.get("r0", 0.0)), server_profile=profile)
+            raise ConfigError(EXIT_MODE_MISMATCH, f"invalid server profile {profile_spec!r}")
+        r0 = _number(spec.get("r0", 0.0), "initial r0")
+        return fluid.InitialCondition(virtual_buffer_mass=float(r0), server_profile=profile)
     raise ConfigError(EXIT_MODE_MISMATCH, f"invalid initial condition spec: {spec!r}")
+
+
+def _fluid_model(cfg: RunConfig):
+    """The fluid config and its validated initial state, which also seeds the simulator."""
+    fc = fluid.FluidConfig(
+        arrival_rate=float(cfg["arrival_rate"]),
+        patience=_dist(cfg.raw, "patience"), service=_dist(cfg.raw, "service"),
+        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
+        tol=float(cfg.get("tolerance", 1e-10)),
+    )
+    return fc, fluid.validate_initial(fc, _initial_condition(cfg, fc))
 
 
 # -- mode runners ---------------------------------------------------------------
 
 
 def _run_fluid_solve(cfg: RunConfig, out: str) -> int:
-    patience = _dist(cfg.raw, "patience")
-    service = _dist(cfg.raw, "service")
-    lam = float(cfg["arrival_rate"])
-    fc = fluid.FluidConfig(
-        arrival_rate=lam, patience=patience, service=service,
-        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
-        tol=float(cfg.get("tolerance", 1e-10)),
-    )
-    init = _initial_condition(cfg, lam, patience, service)
-    sol = fluid.solve(fc, init)
+    sol = fluid.solve(*_fluid_model(cfg))
     _write_csv(os.path.join(out, "trajectory.csv"), ["t", "X", "Q", "Z", "R", "B"],
                zip(sol.times, sol.system, sol.queue, sol.busy, sol.virtual, sol.scheduled))
     probes = _probes(cfg)
@@ -249,47 +282,34 @@ def _run_ode_check(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _sim_configs(cfg: RunConfig):
-    lam = float(cfg["arrival_rate"])
-    patience = _dist(cfg.raw, "patience")
-    service = _dist(cfg.raw, "service")
-    base_arrival = _dist(cfg.raw, "arrival") if "arrival" in cfg.raw else Exponential(lam)
-    ns = cfg["n"]
-    ns = [int(ns)] if isinstance(ns, (int, float)) else [int(v) for v in ns]
+def _sim_configs(cfg: RunConfig, fc: fluid.FluidConfig, init: fluid.ValidatedInitial):
+    """One simulator config per n, each seeded from the fluid start state."""
+    start = fluid.initial_profiles(fc, init, _probes(cfg))
+    base_arrival = (_dist(cfg.raw, "arrival") if "arrival" in cfg.raw
+                    else Exponential(fc.arrival_rate))
+    ns = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
     snapshot_times = tuple(float(t) for t in cfg.get("snapshot_times",
                                                      [float(cfg["horizon"])]))
-    init_spec = cfg.get("initial")
-    for n in ns:
-        initial = None
-        if init_spec == "equilibrium":
-            state = eq.equilibrium_state(lam, patience, service, _probes(cfg))
-            initial = simulator.FluidMatchedInit(state.buffer_tail, state.server_tail)
+    for n in map(int, ns):
         try:
             sim_cfg = simulator.SimConfig(
                 num_servers=n,
                 interarrival=base_arrival.time_scaled(1.0 / n),
-                patience=patience, service=service,
-                horizon=float(cfg["horizon"]),
+                patience=fc.patience, service=fc.service,
+                horizon=fc.horizon,
                 snapshot_times=snapshot_times,
                 seed=int(cfg["seed"]),
                 replications=int(cfg["replications"]),
-                initial=initial,
+                initial=start,
             )
         except ValueError as exc:
             raise ConfigError(EXIT_MODE_MISMATCH, f"invalid simulation config: {exc}") from exc
-        yield n, sim_cfg, lam, patience, service
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QF_THREADS", "1")))
-    except ValueError:
-        return 1
+        yield n, sim_cfg
 
 
 def _run_simulate(cfg: RunConfig, out: str) -> int:
-    for n, sim_cfg, _, _, _ in _sim_configs(cfg):
-        reps = simulator.run_replications(sim_cfg, threads=_threads())
+    for n, sim_cfg in _sim_configs(cfg, *_fluid_model(cfg)):
+        reps = simulator.run_replications(sim_cfg)
         for i, rep in enumerate(reps):
             rows = []
             for s in rep:
@@ -306,16 +326,12 @@ def _run_simulate(cfg: RunConfig, out: str) -> int:
 
 def _run_compare(cfg: RunConfig, out: str) -> int:
     probes = _probes(cfg)
+    fc, init = _fluid_model(cfg)
+    sol = fluid.solve(fc, init)
     rows = []
     summaries = []
-    sol = None
-    for n, sim_cfg, lam, patience, service in _sim_configs(cfg):
-        if sol is None:  # the fluid solution does not depend on n
-            fc = fluid.FluidConfig(arrival_rate=lam, patience=patience, service=service,
-                                   horizon=float(cfg["horizon"]), dt=float(cfg["dt"]))
-            init = _initial_condition(cfg, lam, patience, service)
-            sol = fluid.solve(fc, init)
-        reps = simulator.run_replications(sim_cfg, threads=_threads())
+    for n, sim_cfg in _sim_configs(cfg, fc, init):
+        reps = simulator.run_replications(sim_cfg)
         scaled = [[simulator.fluid_scale(s, n) for s in rep] for rep in reps]
         comp = simulator.compare_to_fluid(scaled, sol, probes)
         for j, t in enumerate(comp.times):
@@ -336,7 +352,10 @@ def _run_compare(cfg: RunConfig, out: str) -> int:
 def _run_gc_check(cfg: RunConfig, out: str) -> int:
     dist = _dist(cfg.raw, "distribution")
     count = int(cfg.get("sample_count", 10_000))
-    stat = simulator.gc_diagnostic(dist, count, int(cfg["seed"]))
+    try:
+        stat = simulator.gc_diagnostic(dist, count, int(cfg["seed"]))
+    except ValueError as exc:
+        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid gc-check config: {exc}") from exc
     doc = {"family": cfg["distribution"]["family"], "sample_count": count,
            "statistic": stat, "ks_bound_95": 1.36 / math.sqrt(count)}
     with open(os.path.join(out, "gc_check.json"), "w", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec
-from .fluid import EquilibriumShaped, InitialCondition
+from .fluid import EquilibriumShaped, InitialCondition, virtual_buffer_tail
 from .measures import TailMeasure
 
 _ROOT_TOL = 1e-10
@@ -121,26 +121,17 @@ def equilibrium_state(arrival_rate: float, patience: DistributionSpec,
     w = ow.wait
     probes = np.sort(np.asarray(probes, dtype=float))
 
-    fd = patience.integrated_sf
-    buf = arrival_rate * (
-        np.clip(-probes, 0.0, w)
-        + np.asarray(fd(np.maximum(probes + w, 0.0)))
-        - np.asarray(fd(np.maximum(probes, 0.0)))
-    )
-    buffer = TailMeasure(probes, np.maximum(buf, 0.0), arrival_rate * w, "linear")
-
+    virtual = arrival_rate * w
     busy = min(rho, 1.0)
-    srv = busy * (1.0 - np.asarray(service.equilibrium_cdf(np.maximum(probes, 0.0))))
-    server = TailMeasure(probes, srv, busy, "linear")
-
+    server = EquilibriumShaped(busy).tail(service, probes)
     return EquilibriumState(
         offered_wait=w,
         wait_bracket=ow.bracket,
-        queue_mass=arrival_rate * float(fd(w)),
+        queue_mass=arrival_rate * float(patience.integrated_sf(w)),
         busy_mass=busy,
-        virtual_mass=arrival_rate * w,
+        virtual_mass=virtual,
         abandonment_fraction=float(patience.cdf(w)),
         traffic_intensity=rho,
-        buffer_tail=buffer,
-        server_tail=server,
+        buffer_tail=virtual_buffer_tail(arrival_rate, patience, virtual, probes),
+        server_tail=TailMeasure(probes, server, busy, "linear"),
     )

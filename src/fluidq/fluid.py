@@ -60,8 +60,8 @@ class FluidConfig:
             raise FluidModelError("dt must be positive")
         if not self.horizon >= self.dt:
             raise FluidModelError("horizon must be at least dt")
-        self.service.validate_as_service()
-        self.patience.validate_as_patience()
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise FluidModelError("tol must be finite and positive")
 
     @property
     def traffic_intensity(self) -> float:
@@ -213,13 +213,50 @@ def initial_load(cfg: FluidConfig, init: ValidatedInitial, t):
     return float(out) if out.ndim == 0 else out
 
 
-# -- solution container --------------------------------------------------------
+# -- measure profiles ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MeasureProfiles:
     buffer: TailMeasure
     server: TailMeasure
+
+
+def virtual_buffer_tail(arrival_rate: float, patience: DistributionSpec, virtual_mass: float,
+                        probes: np.ndarray) -> TailMeasure:
+    """Virtual-buffer tail in residual patience on sorted probes.
+
+    The buffer holds the arrivals of the last virtual_mass/arrival_rate time
+    units, thinned by patience survival at their residual level.
+    """
+    wait = virtual_mass / arrival_rate
+    fd = patience.integrated_sf
+    buf = arrival_rate * (
+        np.clip(-probes, 0.0, wait)
+        + np.asarray(fd(np.maximum(probes + wait, 0.0)))
+        - np.asarray(fd(np.maximum(probes, 0.0)))
+    )
+    return TailMeasure(probes, np.maximum(buf, 0.0), virtual_mass, "linear")
+
+
+def _profiles(cfg: FluidConfig, init: ValidatedInitial, virtual_mass: float, probes: np.ndarray,
+              t: float, started, started0: float) -> MeasureProfiles:
+    """Profiles at t: the initial servers shifted by t, plus admitted fluid still in
+    service (`started` on the probes, `started0` in total)."""
+    total = float(init.server_tail(cfg.service, np.asarray(t))) + started0
+    tails = np.asarray(init.server_tail(cfg.service, np.maximum(probes, 0.0) + t)) + started
+    tails = np.where(probes <= 0.0, total, tails)
+    tails = np.minimum.accumulate(np.minimum(np.maximum(tails, 0.0), total))
+    return MeasureProfiles(
+        buffer=virtual_buffer_tail(cfg.arrival_rate, cfg.patience, virtual_mass, probes),
+        server=TailMeasure(probes, tails, total, "linear"),
+    )
+
+
+def initial_profiles(cfg: FluidConfig, init: ValidatedInitial, probes) -> MeasureProfiles:
+    """Buffer and server tail measures of the initial state, at t = 0."""
+    probes = np.sort(np.asarray(probes, dtype=float))
+    return _profiles(cfg, init, init.virtual0, probes, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -250,22 +287,10 @@ class FluidSolution:
         k = self.grid_index(t)
         probes = np.sort(np.asarray(probes, dtype=float))
 
-        # buffer: arrivals over the elapsed-wait window still in the virtual
-        # buffer, thinned by patience survival at their residual level
-        wait = self.virtual[k] / lam
-        fd = cfg.patience.integrated_sf
-        buf = lam * (
-            np.clip(-probes, 0.0, wait)
-            + np.asarray(fd(np.maximum(probes + wait, 0.0)))
-            - np.asarray(fd(np.maximum(probes, 0.0)))
-        )
-        buffer = TailMeasure(probes, np.maximum(buf, 0.0), self.virtual[k], "linear")
-
         # server: initial profile shifted by t plus the Stieltjes sum of
         # admitted fluid against the service complement (midpoint rule)
         if k == 0:
-            started = np.zeros((probes.size,))
-            started0 = 0.0
+            started, started0 = 0.0, 0.0
         else:
             mids = 0.5 * (self.times[:k] + self.times[1 : k + 1])
             waits_mid = 0.5 * (self.virtual[:k] + self.virtual[1 : k + 1]) / lam
@@ -273,13 +298,7 @@ class FluidSolution:
             args = np.maximum(probes, 0.0)[:, None] + (t - mids)[None, :]
             started = np.asarray(cfg.service.sf(args)) @ coeff
             started0 = float(np.asarray(cfg.service.sf(t - mids)) @ coeff)
-        base = np.asarray(self.initial.server_tail(cfg.service, np.maximum(probes, 0.0) + t))
-        total = float(self.initial.server_tail(cfg.service, np.asarray(t))) + started0
-        tails = np.where(probes <= 0.0, total, base + started)
-        tails = np.minimum(np.maximum(tails, 0.0), total)
-        tails = np.minimum.accumulate(tails)
-        server = TailMeasure(probes, tails, total, "linear")
-        return MeasureProfiles(buffer=buffer, server=server)
+        return _profiles(cfg, self.initial, self.virtual[k], probes, t, started, started0)
 
 
 # -- solver ---------------------------------------------------------------------
@@ -315,11 +334,14 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     upper bound is known) when a step leaves the bracket or g' vanishes.
     inner_start_offset shifts that start, to test that the root is unique.
 
-    Raises NoConvergenceError if a step exceeds the iteration cap and
-    InvariantViolationError if the solved trajectories break the structural
-    invariants (nondecreasing scheduled mass, queue capped by the patience
-    tail area).
+    Raises DistributionError if the service law has atoms or the patience
+    law neither a Lipschitz CDF nor a bounded hazard, NoConvergenceError if
+    a step exceeds the iteration cap and InvariantViolationError if the
+    solved trajectories break the structural invariants (nondecreasing
+    scheduled mass, queue capped by the patience tail area).
     """
+    cfg.service.validate_as_service()
+    cfg.patience.validate_as_patience()
     if init is None:
         init = InitialCondition()
     if isinstance(init, InitialCondition):
@@ -416,12 +438,11 @@ def check_queue_drain_monotone(sol: FluidSolution) -> float:
     """Max grid increment of queue(t) - arrival_rate * int_0^t H(queue(s)) ds.
 
     The functional is nonincreasing for the exact solution; the returned
-    value should not exceed quadrature tolerance.
+    value should not exceed quadrature tolerance.  H is the patience
+    survival at the solved offered wait R/arrival_rate.
     """
     cfg = sol.config
-    h_vals = np.array(
-        [survival_at_offered_wait(cfg.arrival_rate, cfg.patience, q) for q in sol.queue]
-    )
+    h_vals = np.asarray(cfg.patience.sf(sol.virtual / cfg.arrival_rate))
     integral = np.concatenate(
         [[0.0], np.cumsum(0.5 * (h_vals[:-1] + h_vals[1:]) * cfg.dt)]
     )

@@ -12,35 +12,23 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .fluid import FluidSolution
+from .fluid import FluidSolution, MeasureProfiles
 from .measures import TailMeasure, sup_distance
 
 _COMPLETION, _ARRIVAL = 0, 1  # completions processed before arrivals on ties
 
 
 @dataclass(frozen=True)
-class FluidMatchedInit:
-    """Seed the system from fluid profiles: counts are floors of n-scaled masses.
-
-    Residuals come from stratified inverse-tail sampling of the profiles.
-    With include_expired the virtual buffer carries the full profile
-    (pre-abandoned customers included); otherwise only positive residuals
-    are seeded.
-    """
-
-    buffer_profile: TailMeasure
-    server_profile: TailMeasure
-    include_expired: bool = True
-
-
-@dataclass(frozen=True)
 class SimConfig:
+    """One simulated system.  initial, when given, seeds it from fluid start profiles
+    (fluid.initial_profiles): counts are floors of the n-scaled masses, residuals are
+    stratified inverse-tail draws, and expired customers stay in the virtual buffer."""
+
     num_servers: int
     interarrival: DistributionSpec   # renewal spacing; mean 1/(n * lambda)
     patience: DistributionSpec
@@ -49,7 +37,7 @@ class SimConfig:
     snapshot_times: tuple
     seed: int = 0
     replications: int = 1
-    initial: FluidMatchedInit | None = None
+    initial: MeasureProfiles | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
@@ -59,15 +47,6 @@ class SimConfig:
             raise ValueError("snapshot times must lie in [0, horizon]")
         if list(self.snapshot_times) != sorted(self.snapshot_times):
             raise ValueError("snapshot times must be sorted")
-
-
-@dataclass
-class Customer:
-    index: int
-    arrival_time: float
-    patience: float
-    service: float
-    start_time: float | None = None  # set when scheduled for service
 
 
 @dataclass(frozen=True)
@@ -99,11 +78,9 @@ class _Engine:
         self.cfg = cfg
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replication_index)))
         self.events: list = []
-        self.buffer: deque[Customer] = deque()
-        self.busy: dict[int, tuple[float, Customer]] = {}
-        self.idle: list[int] = list(range(cfg.num_servers))
-        heapq.heapify(self.idle)
-        self.customers: list[Customer] = []
+        self.buffer: deque[tuple[float, float, float]] = deque()  # (arrival, patience, service)
+        self.busy: dict[int, float] = {}  # server -> completion time
+        self.idle: list[int] = list(range(cfg.num_servers))  # sorted, hence a heap
         self.arrivals = 0
         self.completed = 0
         self.left_buffer = 0
@@ -131,48 +108,38 @@ class _Engine:
         if init is None:
             return
         n = self.cfg.num_servers
-        busy_count = min(int(np.floor(n * init.server_profile.total)), n)
-        for sid, residual in enumerate(_stratified_residuals(init.server_profile, busy_count)):
-            cust = Customer(index=-10**9 - sid, arrival_time=0.0,
-                            patience=np.inf, service=float(residual), start_time=0.0)
-            self.busy[sid] = (float(residual), cust)
+        busy_count = min(int(np.floor(n * init.server.total)), n)
+        for sid, residual in enumerate(_stratified_residuals(init.server, busy_count)):
+            self.busy[sid] = float(residual)
             heapq.heappush(self.events, (float(residual), _COMPLETION, sid))
-        self.idle = [s for s in range(n) if s not in self.busy]
-        heapq.heapify(self.idle)
+        self.idle = list(range(busy_count, n))
         self.initial_busy = busy_count
 
-        waiting_count = int(np.floor(n * init.buffer_profile.total))
-        residuals = np.sort(_stratified_residuals(init.buffer_profile, waiting_count))
-        if not init.include_expired:
-            residuals = residuals[residuals > 0.0]
+        waiting_count = int(np.floor(n * init.buffer.total))
+        residuals = np.sort(_stratified_residuals(init.buffer, waiting_count))
         # FIFO head gets the smallest residual (the longest-waiting customer)
         services = np.asarray(self.cfg.service.sample(self.rng, residuals.size), dtype=float)
-        for j, (res, svc) in enumerate(zip(residuals, np.atleast_1d(services))):
-            cust = Customer(index=-residuals.size + j, arrival_time=0.0,
-                            patience=float(res), service=float(svc))
-            self.buffer.append(cust)
-            self.customers.append(cust)
+        self.buffer.extend((0.0, float(res), float(svc))
+                           for res, svc in zip(residuals, np.atleast_1d(services)))
         self.initial_virtual = len(self.buffer)
 
     # -- event handlers ----------------------------------------------------
 
-    def _start_service(self, cust: Customer, server: int, now: float):
-        cust.start_time = now
-        done = now + cust.service
-        self.busy[server] = (done, cust)
+    def _start_service(self, entry: tuple, server: int, now: float):
+        done = now + entry[2]  # entry = (arrival, patience, service)
+        self.busy[server] = done
         heapq.heappush(self.events, (done, _COMPLETION, server))
 
-    def _handle_arrival(self, now: float, index: int):
+    def _handle_arrival(self, now: float):
         self.arrivals += 1
         patience = float(self.cfg.patience.sample(self.rng))
         service = float(self.cfg.service.sample(self.rng))
-        cust = Customer(index=index, arrival_time=now, patience=patience, service=service)
-        self.customers.append(cust)
+        entry = (now, patience, service)
         if self.idle:
             self.left_buffer += 1  # passes through the virtual buffer instantly
-            self._start_service(cust, heapq.heappop(self.idle), now)
+            self._start_service(entry, heapq.heappop(self.idle), now)
         else:
-            self.buffer.append(cust)
+            self.buffer.append(entry)
         if self._arrival_schedule is None:
             gap = float(self.cfg.interarrival.sample(self.rng))
             heapq.heappush(self.events, (now + gap, _ARRIVAL, self._next_index))
@@ -182,13 +149,14 @@ class _Engine:
         self.completed += 1
         del self.busy[server]
         while self.buffer:
-            cust = self.buffer.popleft()
+            entry = self.buffer.popleft()
             self.left_buffer += 1
-            if cust.patience <= now - cust.arrival_time:
+            arrival, patience, _ = entry
+            if patience <= now - arrival:
                 # expired before its turn: leaves the virtual buffer unserved
                 self.abandoned_released += 1
                 continue
-            self._start_service(cust, server, now)
+            self._start_service(entry, server, now)
             break
         else:
             heapq.heappush(self.idle, server)
@@ -199,11 +167,11 @@ class _Engine:
             if kind == _COMPLETION:
                 self._handle_completion(t, key)
             else:
-                self._handle_arrival(t, key)
+                self._handle_arrival(t)
 
     def _snapshot(self, t: float) -> SystemSnapshot:
-        buf_res = np.array([c.patience - (t - c.arrival_time) for c in self.buffer])
-        srv_res = np.array([done - t for done, _ in self.busy.values()])
+        buf_res = np.array([patience - (t - arrival) for arrival, patience, _ in self.buffer])
+        srv_res = np.array([done - t for done in self.busy.values()])
         queue = int(np.sum(buf_res > 0.0))
         expired_waiting = buf_res.size - queue
         return SystemSnapshot(
@@ -239,12 +207,9 @@ def run(cfg: SimConfig, replication_index: int = 0, arrival_times=None) -> list[
     return _Engine(cfg, replication_index, arrival_times).run()
 
 
-def run_replications(cfg: SimConfig, threads: int = 1) -> list[list[SystemSnapshot]]:
+def run_replications(cfg: SimConfig) -> list[list[SystemSnapshot]]:
     """All replications, index-ordered; each owns an independent random stream."""
-    if threads <= 1:
-        return [run(cfg, i) for i in range(cfg.replications)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda i: run(cfg, i), range(cfg.replications)))
+    return [run(cfg, i) for i in range(cfg.replications)]
 
 
 def fluid_scale(snap: SystemSnapshot, n: int) -> SystemSnapshot:

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from fluidq import cli
+from fluidq import cli, simulator
 from fluidq.distributions import Exponential
-from fluidq.equilibrium import initial_condition_from_json
+from fluidq.equilibrium import equilibrium_state, initial_condition_from_json
 from fluidq.fluid import FluidConfig, solve
 
 EXP = {"family": "exponential", "rate": 1.0}
@@ -90,8 +90,28 @@ EXIT_CASES = {
                                cli.EXIT_MODE_MISMATCH),
     "horizon off the dt grid": ({**_SOLVE, "dt": 0.3}, cli.EXIT_MODE_MISMATCH),
     "queue without full servers": ({**_SOLVE, "initial": {"r0": 0.5}}, cli.EXIT_MODE_MISMATCH),
-    "fluid step never converges": ({**_SOLVE, "arrival_rate": 2.0, "tolerance": -1.0},
+    "fluid step never converges": ({**_SOLVE, "arrival_rate": 2.0, "tolerance": 1e-300},
                                    cli.EXIT_MODE_MISMATCH),
+    "tolerance not positive": ({**_SOLVE, "arrival_rate": 2.0, "tolerance": -1.0},
+                               cli.EXIT_MODE_MISMATCH),
+    "dt not positive": ({**_SOLVE, "dt": 0.0}, cli.EXIT_MODE_MISMATCH),
+    "probe grid of one point": ({**_SOLVE, "probes": {"count": 1}}, cli.EXIT_MODE_MISMATCH),
+    "probe bound not a number": ({**_SIM, "probes": {"lo": "low"}}, cli.EXIT_MODE_MISMATCH),
+    "compare without replications": ({**_SIM, "mode": "compare", "n": [4],
+                                      "replications": 0}, cli.EXIT_MODE_MISMATCH),
+    "gc-check with too few samples": ({"mode": "gc-check", "distribution": EXP,
+                                       "sample_count": 50}, cli.EXIT_MODE_MISMATCH),
+    "arrival rate not a number": ({**_SOLVE, "arrival_rate": "fast"}, cli.EXIT_MODE_MISMATCH),
+    "seed not a number": ({**_SIM, "seed": "lucky"}, cli.EXIT_MODE_MISMATCH),
+    "snapshot time not a number": ({**_SIM, "snapshot_times": [1.0, None]},
+                                   cli.EXIT_MODE_MISMATCH),
+    "ode-check rate not a number": ({"mode": "ode-check", "rho": [1.0], "alpha": 1.0,
+                                     "mu": 1.0, "horizon": 1.0}, cli.EXIT_MODE_MISMATCH),
+    "equilibrium-shaped profile without z": (
+        {**_SOLVE, "initial": {"r0": 0.1, "server_profile": {"kind": "equilibrium-shaped"}}},
+        cli.EXIT_MODE_MISMATCH),
+    "simulate from an invalid initial state": ({**_SIM, "initial": {"r0": 0.5}},
+                                               cli.EXIT_MODE_MISMATCH),
     "patience without density": ({**_SOLVE, "patience": {"family": "deterministic",
                                                          "value": 1.0}},
                                  cli.EXIT_MODE_MISMATCH),
@@ -114,6 +134,56 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+_SEEDED = {"arrival_rate": 1.5, "patience": EXP, "service": EXP, "n": [40, 160],
+           "horizon": 1.0, "snapshot_times": [0.0, 1.0], "replications": 2, "seed": 3,
+           "probes": {"count": 257, "lo": -4.0, "hi": 4.0}}
+
+
+def _equilibrium_masses():
+    state = equilibrium_state(1.5, Exponential(1.0), Exponential(1.0), np.linspace(-1.0, 1.0, 3))
+    return state.virtual_mass, state.busy_mass
+
+
+@pytest.mark.parametrize("mode", ["simulate", "compare"])
+@pytest.mark.parametrize("initial", [
+    "equilibrium",
+    {"kind": "equilibrium"},
+    {"r0": 0.4, "server_profile": {"kind": "equilibrium-shaped", "z": 1.0}},
+], ids=["equilibrium", "kind-equilibrium", "r0-and-z"])
+def test_every_initial_form_seeds_the_simulator(mode, initial, tmp_path, monkeypatch):
+    runs = []
+    run_replications = simulator.run_replications
+
+    def record(sim_cfg):
+        reps = run_replications(sim_cfg)
+        runs.append((sim_cfg.num_servers, reps))
+        return reps
+
+    monkeypatch.setattr(simulator, "run_replications", record)
+    path = _write_config(tmp_path, {**_SEEDED, "mode": mode, "initial": initial})
+    assert cli.main(["--config", path, "--out", str(tmp_path)]) == 0
+    r0, z0 = (0.4, 1.0) if isinstance(initial, dict) and "r0" in initial else _equilibrium_masses()
+    assert [n for n, _ in runs] == _SEEDED["n"]
+    for n, reps in runs:
+        for rep in reps:
+            assert rep[0].time == 0.0
+            assert rep[0].virtual_size == math.floor(n * r0) > 0
+            assert rep[0].busy_servers == math.floor(n * z0) == n
+
+
+def test_equilibrium_string_and_dict_forms_give_identical_simulations(tmp_path):
+    outs = []
+    for i, initial in enumerate(["equilibrium", {"kind": "equilibrium"}]):
+        path = _write_config(tmp_path, {**_SEEDED, "mode": "simulate", "initial": initial},
+                             name=f"config{i}.json")
+        outs.append(tmp_path / f"run{i}")
+        assert cli.main(["--config", path, "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and len(names) == 4
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_equilibrium_mode_emits_json(tmp_path, capsys):

@@ -10,13 +10,16 @@ from fluidq.fluid import (
     EMPTY_SERVERS,
     EquilibriumShaped,
     FluidConfig,
+    FluidModelError,
     InitialCondition,
     InvalidInitialError,
+    ServiceComplementShaped,
     TabulatedProfile,
     ValidatedInitial,
     check_queue_drain_monotone,
     fixed_point_residual,
     initial_load,
+    initial_profiles,
     solve,
     survival_at_offered_wait,
     validate_initial,
@@ -29,6 +32,13 @@ LN2 = math.log(2.0)
 def _cfg(lam, patience, service, horizon=10.0, dt=1e-3):
     return FluidConfig(arrival_rate=lam, patience=patience, service=service,
                        horizon=horizon, dt=dt)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_config_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(FluidModelError, match="tol"):
+        FluidConfig(arrival_rate=1.0, patience=Exponential(1.0), service=Exponential(1.0),
+                    tol=tol)
 
 
 # ---------------------------------------------------------------- initial conditions
@@ -263,6 +273,34 @@ def test_measures_at_empty_initial_time_zero():
     assert profiles.server.total == 0.0
 
 
+def _initial_forms(lam, patience, service, probes):
+    grid = np.linspace(0.0, 12.0, 24001)
+    table = TailMeasure(grid, np.exp(-grid), 1.0, "linear")
+    return {
+        "empty": InitialCondition(),
+        "equilibrium": equilibrium_state(lam, patience, service, probes).initial_condition(),
+        "r0 and equilibrium-shaped": InitialCondition(0.3, EquilibriumShaped(1.0)),
+        "service-complement": InitialCondition(0.0, ServiceComplementShaped(0.6)),
+        "tabulated": InitialCondition(0.2, TabulatedProfile(table)),
+    }
+
+
+@pytest.mark.parametrize("patience", [Exponential(1.0), Uniform(0.0, 2.0), LogNormal(0.0, 0.8)])
+def test_initial_profiles_equal_the_solution_profiles_at_time_zero(patience):
+    lam, service = 1.5, Exponential(1.0)
+    probes = np.linspace(-3.0, 4.0, 141)
+    cfg = _cfg(lam, patience, service, horizon=0.01)
+    for name, init in _initial_forms(lam, patience, service, probes).items():
+        sol = solve(cfg, init)
+        start = initial_profiles(cfg, sol.initial, probes)
+        at_zero = sol.measures_at(0.0, probes)
+        for got, want in ((start.buffer, at_zero.buffer), (start.server, at_zero.server)):
+            np.testing.assert_allclose(got.tails, want.tails, rtol=0.0, atol=1e-15, err_msg=name)
+            assert got.total == pytest.approx(want.total, rel=1e-15, abs=0.0), name
+        assert start.buffer.total == sol.initial.virtual0
+        assert start.server.total == pytest.approx(sol.initial.busy0, abs=1e-12), name
+
+
 def test_measures_at_matches_equilibrium_profiles():
     probes = np.linspace(-6.0, 8.0, 256)
     lam, patience, service = 1.2, Exponential(1.0), Exponential(1.0)
@@ -304,6 +342,16 @@ def test_drain_monotone_underloaded_empty():
 def test_drain_monotone_overloaded():
     sol = solve(_cfg(2.0, Exponential(2.0), Exponential(1.0)))
     assert check_queue_drain_monotone(sol) <= 1e-6
+
+
+def test_drain_check_reads_the_survival_the_bisection_gives():
+    lam, patience = 1.5, LogNormal.from_mean_cv(1.0, 1.0)
+    sol = solve(_cfg(lam, patience, Exponential(1.0), horizon=2.0, dt=1e-2))
+    bisected = np.array([survival_at_offered_wait(lam, patience, q) for q in sol.queue])
+    np.testing.assert_allclose(patience.sf(sol.virtual / lam), bisected, rtol=0.0, atol=1e-9)
+    integral = np.concatenate([[0.0], np.cumsum(0.5 * (bisected[:-1] + bisected[1:]) * 1e-2)])
+    drain = float(np.max(np.diff(sol.queue - lam * integral)))
+    assert check_queue_drain_monotone(sol) == pytest.approx(drain, abs=1e-10)
 
 
 def test_drain_monotone_equilibrium_affine():
