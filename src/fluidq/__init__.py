@@ -26,7 +26,6 @@ from .fluid import (
     check_queue_drain_monotone,
     fixed_point_residual,
     initial_load,
-    initial_profiles,
     solve,
     survival_at_offered_wait,
     validate_initial,

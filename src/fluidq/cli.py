@@ -36,10 +36,10 @@ _COMMON_KEYS = {"mode", "seed", "out"}
 _MODE_KEYS = {
     "fluid-solve": {"arrival_rate", "patience", "service", "horizon", "dt", "tolerance",
                     "initial", "profile_times", "probes"},
-    "equilibrium": {"arrival_rate", "patience", "service", "probes"},
+    "equilibrium": {"arrival_rate", "patience", "service"},
     "ode-check": {"rho", "alpha", "mu", "x0", "horizon", "dt"},
     "simulate": {"arrival_rate", "patience", "service", "arrival", "n", "horizon", "dt",
-                 "snapshot_times", "replications", "initial", "probes"},
+                 "snapshot_times", "replications", "initial"},
     "compare": {"arrival_rate", "patience", "service", "arrival", "n", "horizon", "dt",
                 "snapshot_times", "replications", "initial", "probes"},
     "gc-check": {"distribution", "sample_count"},
@@ -209,22 +209,22 @@ def _initial_condition(cfg: RunConfig, fc: fluid.FluidConfig) -> fluid.InitialCo
     spec = cfg.get("initial")
     if spec in (None, "empty"):
         return fluid.InitialCondition()
-    if spec == "equilibrium" or (isinstance(spec, dict) and spec.get("kind") == "equilibrium"):
+    if spec in ("equilibrium", {"kind": "equilibrium"}):
         state = eq.equilibrium_state(fc.arrival_rate, fc.patience, fc.service, _probes(cfg))
         return state.initial_condition()
-    if isinstance(spec, dict):
-        profile_spec = spec.get("server_profile", {"kind": "empty"})
-        kind = profile_spec.get("kind", "empty") if isinstance(profile_spec, dict) else None
-        if kind == "empty":
-            profile = fluid.EMPTY_SERVERS
-        elif kind in _SERVER_SHAPES:
-            z = _number(profile_spec.get("z"), f"{kind} server profile z")
-            profile = _SERVER_SHAPES[kind](float(z))
-        else:
-            raise ConfigError(EXIT_MODE_MISMATCH, f"invalid server profile {profile_spec!r}")
-        r0 = _number(spec.get("r0", 0.0), "initial r0")
-        return fluid.InitialCondition(virtual_buffer_mass=float(r0), server_profile=profile)
-    raise ConfigError(EXIT_MODE_MISMATCH, f"invalid initial condition spec: {spec!r}")
+    if not (isinstance(spec, dict) and set(spec) <= {"r0", "server_profile"}):
+        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid initial condition spec: {spec!r}")
+    profile_spec = spec.get("server_profile", {"kind": "empty"})
+    kind = profile_spec.get("kind", "empty") if isinstance(profile_spec, dict) else None
+    if kind not in ("empty", *_SERVER_SHAPES) or not set(profile_spec) <= {"kind", "z"}:
+        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid server profile {profile_spec!r}")
+    if kind == "empty":
+        profile = fluid.EMPTY_SERVERS
+    else:
+        z = _number(profile_spec.get("z"), f"{kind} server profile z")
+        profile = _SERVER_SHAPES[kind](float(z))
+    r0 = _number(spec.get("r0", 0.0), "initial r0")
+    return fluid.InitialCondition(virtual_buffer_mass=float(r0), server_profile=profile)
 
 
 def _fluid_model(cfg: RunConfig):
@@ -284,7 +284,6 @@ def _run_ode_check(cfg: RunConfig, out: str) -> int:
 
 def _sim_configs(cfg: RunConfig, fc: fluid.FluidConfig, init: fluid.ValidatedInitial):
     """One simulator config per n, each seeded from the fluid start state."""
-    start = fluid.initial_profiles(fc, init, _probes(cfg))
     base_arrival = (_dist(cfg.raw, "arrival") if "arrival" in cfg.raw
                     else Exponential(fc.arrival_rate))
     ns = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
@@ -300,7 +299,7 @@ def _sim_configs(cfg: RunConfig, fc: fluid.FluidConfig, init: fluid.ValidatedIni
                 snapshot_times=snapshot_times,
                 seed=int(cfg["seed"]),
                 replications=int(cfg["replications"]),
-                initial=start,
+                initial=init,
             )
         except ValueError as exc:
             raise ConfigError(EXIT_MODE_MISMATCH, f"invalid simulation config: {exc}") from exc

@@ -32,6 +32,16 @@ _INV_TOL = 1e-12
 _INV_MAX_ITER = 200
 
 
+def bisect_increasing(func, y, lo, hi):
+    """Where the nondecreasing func reaches y, entrywise in [lo, hi]: 80 vectorized halvings."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(func(mid)) < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True)
 class DistStats:
     """Summary constants consumed by the fluid solver and validators."""
@@ -452,14 +462,7 @@ class HyperExponential(DistributionSpec):
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        lo = np.zeros_like(u)
-        hi = -np.log1p(-u) / min(self.rates)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
+        out = bisect_increasing(self.cdf, u, np.zeros_like(u), -np.log1p(-u) / min(self.rates))
         return float(out[0]) if scalar else out
 
     def integrated_sf(self, x):

@@ -144,6 +144,7 @@ class InitialCondition:
 @dataclass(frozen=True)
 class ValidatedInitial:
     virtual0: float
+    wait0: float      # offered wait virtual0 / arrival_rate: the buffer holds that much history
     queue0: float
     busy0: float
     server_profile: ServerProfile
@@ -169,7 +170,8 @@ def validate_initial(cfg: FluidConfig, init: InitialCondition) -> ValidatedIniti
     r0 = float(init.virtual_buffer_mass)
     if r0 < 0.0:
         raise InvalidInitialError("invalid-init: virtual buffer mass must be nonnegative")
-    q0 = lam * float(cfg.patience.integrated_sf(r0 / lam))
+    w0 = r0 / lam
+    q0 = lam * float(cfg.patience.integrated_sf(w0))
     z0 = float(init.server_profile.mass(cfg.service))
     if z0 < -1e-12 or z0 > 1.0 + 1e-9:
         raise InvalidInitialError("invalid-init: server mass must lie in [0, 1]")
@@ -183,7 +185,8 @@ def validate_initial(cfg: FluidConfig, init: InitialCondition) -> ValidatedIniti
             raise InvalidInitialError("invalid-init: atom at zero")
         if m.tails.size > 1 and np.max(-np.diff(m.tails)) > resolution + 1e-12:
             raise InvalidInitialError("invalid-init: tabulated profile has atoms at grid resolution")
-    return ValidatedInitial(virtual0=r0, queue0=q0, busy0=z0, server_profile=init.server_profile)
+    return ValidatedInitial(virtual0=r0, wait0=w0, queue0=q0, busy0=z0,
+                            server_profile=init.server_profile)
 
 
 # -- the survival map and the initial load ------------------------------------
@@ -239,26 +242,6 @@ def virtual_buffer_tail(arrival_rate: float, patience: DistributionSpec, virtual
     return TailMeasure(probes, np.maximum(buf, 0.0), virtual_mass, "linear")
 
 
-def _profiles(cfg: FluidConfig, init: ValidatedInitial, virtual_mass: float, probes: np.ndarray,
-              t: float, started, started0: float) -> MeasureProfiles:
-    """Profiles at t: the initial servers shifted by t, plus admitted fluid still in
-    service (`started` on the probes, `started0` in total)."""
-    total = float(init.server_tail(cfg.service, np.asarray(t))) + started0
-    tails = np.asarray(init.server_tail(cfg.service, np.maximum(probes, 0.0) + t)) + started
-    tails = np.where(probes <= 0.0, total, tails)
-    tails = np.minimum.accumulate(np.minimum(np.maximum(tails, 0.0), total))
-    return MeasureProfiles(
-        buffer=virtual_buffer_tail(cfg.arrival_rate, cfg.patience, virtual_mass, probes),
-        server=TailMeasure(probes, tails, total, "linear"),
-    )
-
-
-def initial_profiles(cfg: FluidConfig, init: ValidatedInitial, probes) -> MeasureProfiles:
-    """Buffer and server tail measures of the initial state, at t = 0."""
-    probes = np.sort(np.asarray(probes, dtype=float))
-    return _profiles(cfg, init, init.virtual0, probes, 0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class FluidSolution:
     """Grid-indexed trajectories plus on-demand measure profiles."""
@@ -298,7 +281,14 @@ class FluidSolution:
             args = np.maximum(probes, 0.0)[:, None] + (t - mids)[None, :]
             started = np.asarray(cfg.service.sf(args)) @ coeff
             started0 = float(np.asarray(cfg.service.sf(t - mids)) @ coeff)
-        return _profiles(cfg, self.initial, self.virtual[k], probes, t, started, started0)
+        total = float(self.initial.server_tail(cfg.service, np.asarray(t))) + started0
+        tails = np.asarray(self.initial.server_tail(cfg.service, np.maximum(probes, 0.0) + t))
+        tails = np.where(probes <= 0.0, total, tails + started)
+        tails = np.minimum.accumulate(np.minimum(np.maximum(tails, 0.0), total))
+        return MeasureProfiles(
+            buffer=virtual_buffer_tail(lam, cfg.patience, self.virtual[k], probes),
+            server=TailMeasure(probes, tails, total, "linear"),
+        )
 
 
 # -- solver ---------------------------------------------------------------------
@@ -366,7 +356,7 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     wait = np.empty(steps + 1)   # offered wait at grid values
     x[0] = init.system0
     qv[0] = max(x[0] - 1.0, 0.0)
-    wait[0] = init.virtual0 / lam
+    wait[0] = init.wait0
     iterations = 0
     worst = 0.0
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import DistributionSpec
-from .fluid import FluidSolution, MeasureProfiles
+from .distributions import DistributionSpec, bisect_increasing
+from .fluid import FluidSolution, ValidatedInitial
 from .measures import TailMeasure, sup_distance
 
 _COMPLETION, _ARRIVAL = 0, 1  # completions processed before arrivals on ties
@@ -25,9 +25,12 @@ _COMPLETION, _ARRIVAL = 0, 1  # completions processed before arrivals on ties
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulated system.  initial, when given, seeds it from fluid start profiles
-    (fluid.initial_profiles): counts are floors of the n-scaled masses, residuals are
-    stratified inverse-tail draws, and expired customers stay in the virtual buffer."""
+    """One simulated system, seeded from the fluid start state initial when it is given.
+
+    floor(n busy0) servers start busy, with the (i + 1/2)/count quantiles of the
+    state's server measure as residual service times.  floor(n virtual0) customers
+    start in the virtual buffer in arrival order, arrived at times spread evenly over
+    [-wait0, 0], with fresh patience and service draws; the expired ones stay there."""
 
     num_servers: int
     interarrival: DistributionSpec   # renewal spacing; mean 1/(n * lambda)
@@ -37,7 +40,7 @@ class SimConfig:
     snapshot_times: tuple
     seed: int = 0
     replications: int = 1
-    initial: MeasureProfiles | None = None
+    initial: ValidatedInitial | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
@@ -66,11 +69,16 @@ class SystemSnapshot:
     initial_busy: float
 
 
-def _stratified_residuals(profile: TailMeasure, count: int) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0)
-    quantiles = (np.arange(count) + 0.5) / count * profile.total
-    return np.asarray(profile.inverse_tail(quantiles))
+def _busy_residuals(service: DistributionSpec, init: ValidatedInitial, count: int) -> np.ndarray:
+    """The x_i with server_tail(x_i) = busy0 (1 - (i + 1/2)/count).  Levels below the mass
+    a tabulated tail keeps past its grid go where that tail stops falling, the grid's end."""
+    levels = init.busy0 * (1.0 - (np.arange(count) + 0.5) / count)
+    levels = np.maximum(levels, init.server_tail(service, np.finfo(float).max))
+    hi = 1.0
+    while count and init.server_tail(service, hi) > levels[-1]:
+        hi *= 2.0
+    return bisect_increasing(lambda x: -init.server_tail(service, x), -levels,
+                             np.zeros(count), np.full(count, hi))
 
 
 class _Engine:
@@ -108,20 +116,19 @@ class _Engine:
         if init is None:
             return
         n = self.cfg.num_servers
-        busy_count = min(int(np.floor(n * init.server.total)), n)
-        for sid, residual in enumerate(_stratified_residuals(init.server, busy_count)):
-            self.busy[sid] = float(residual)
-            heapq.heappush(self.events, (float(residual), _COMPLETION, sid))
+        busy_count = min(int(np.floor(n * init.busy0)), n)
+        for sid, done in enumerate(_busy_residuals(self.cfg.service, init, busy_count)):
+            self.busy[sid] = float(done)
+            heapq.heappush(self.events, (float(done), _COMPLETION, sid))
         self.idle = list(range(busy_count, n))
         self.initial_busy = busy_count
 
-        waiting_count = int(np.floor(n * init.buffer.total))
-        residuals = np.sort(_stratified_residuals(init.buffer, waiting_count))
-        # FIFO head gets the smallest residual (the longest-waiting customer)
-        services = np.asarray(self.cfg.service.sample(self.rng, residuals.size), dtype=float)
-        self.buffer.extend((0.0, float(res), float(svc))
-                           for res, svc in zip(residuals, np.atleast_1d(services)))
-        self.initial_virtual = len(self.buffer)
+        waiting = int(np.floor(n * init.virtual0))
+        arrivals = -init.wait0 * (1.0 - (np.arange(waiting) + 0.5) / waiting)  # oldest first
+        patience = self.cfg.patience.sample(self.rng, waiting)
+        services = self.cfg.service.sample(self.rng, waiting)
+        self.buffer.extend(zip(arrivals.tolist(), patience.tolist(), services.tolist()))
+        self.initial_virtual = waiting
 
     # -- event handlers ----------------------------------------------------
 

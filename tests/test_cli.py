@@ -96,7 +96,21 @@ EXIT_CASES = {
                                cli.EXIT_MODE_MISMATCH),
     "dt not positive": ({**_SOLVE, "dt": 0.0}, cli.EXIT_MODE_MISMATCH),
     "probe grid of one point": ({**_SOLVE, "probes": {"count": 1}}, cli.EXIT_MODE_MISMATCH),
-    "probe bound not a number": ({**_SIM, "probes": {"lo": "low"}}, cli.EXIT_MODE_MISMATCH),
+    "probe bound not a number": ({**_SIM, "mode": "compare", "n": [4], "probes": {"lo": "low"}},
+                                 cli.EXIT_MODE_MISMATCH),
+    "probes in simulate": ({**_SIM, "probes": {"count": 65}}, cli.EXIT_MODE_MISMATCH),
+    "probes in equilibrium": ({"mode": "equilibrium", "arrival_rate": 1.2, "patience": EXP,
+                               "service": EXP, "probes": {"count": 65}}, cli.EXIT_MODE_MISMATCH),
+    "initial kind misspelled": ({**_SIM, "initial": {"kind": "equilbrium"}},
+                                cli.EXIT_MODE_MISMATCH),
+    "initial kind with another key": ({**_SIM, "initial": {"kind": "equilibrium", "r0": 0.2}},
+                                      cli.EXIT_MODE_MISMATCH),
+    "initial key misspelled": ({**_SIM, "initial": {"r0": 0.0, "server_profle": {
+                                    "kind": "equilibrium-shaped", "z": 1.0}}},
+                               cli.EXIT_MODE_MISMATCH),
+    "server profile key unknown": ({**_SOLVE, "initial": {"r0": 0.1, "server_profile": {
+                                        "kind": "equilibrium-shaped", "z": 1.0, "shape": 2}}},
+                                   cli.EXIT_MODE_MISMATCH),
     "compare without replications": ({**_SIM, "mode": "compare", "n": [4],
                                       "replications": 0}, cli.EXIT_MODE_MISMATCH),
     "gc-check with too few samples": ({"mode": "gc-check", "distribution": EXP,
@@ -137,8 +151,7 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys):
 
 
 _SEEDED = {"arrival_rate": 1.5, "patience": EXP, "service": EXP, "n": [40, 160],
-           "horizon": 1.0, "snapshot_times": [0.0, 1.0], "replications": 2, "seed": 3,
-           "probes": {"count": 257, "lo": -4.0, "hi": 4.0}}
+           "horizon": 1.0, "snapshot_times": [0.0, 1.0], "replications": 2, "seed": 3}
 
 
 def _equilibrium_masses():

@@ -13,13 +13,11 @@ from fluidq.fluid import (
     FluidModelError,
     InitialCondition,
     InvalidInitialError,
-    ServiceComplementShaped,
     TabulatedProfile,
     ValidatedInitial,
     check_queue_drain_monotone,
     fixed_point_residual,
     initial_load,
-    initial_profiles,
     solve,
     survival_at_offered_wait,
     validate_initial,
@@ -115,11 +113,11 @@ def test_initial_load_examples():
     empty = validate_initial(cfg, InitialCondition())
     assert initial_load(cfg, empty, 3.7) == 0.0
 
-    half_queue = ValidatedInitial(virtual0=0.0, queue0=0.5, busy0=0.0,
+    half_queue = ValidatedInitial(virtual0=0.0, wait0=0.0, queue0=0.5, busy0=0.0,
                                   server_profile=EMPTY_SERVERS)
     assert initial_load(cfg, half_queue, LN2) == pytest.approx(0.25, abs=1e-12)
 
-    eq = ValidatedInitial(virtual0=0.0, queue0=0.0, busy0=1.0,
+    eq = ValidatedInitial(virtual0=0.0, wait0=0.0, queue0=0.0, busy0=1.0,
                           server_profile=EquilibriumShaped(1.0))
     assert initial_load(cfg, eq, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
     # at t=0 the initial load is the initial system mass
@@ -271,34 +269,6 @@ def test_measures_at_empty_initial_time_zero():
     profiles = sol.measures_at(0.0, np.linspace(-2.0, 2.0, 17))
     assert profiles.buffer.total == 0.0
     assert profiles.server.total == 0.0
-
-
-def _initial_forms(lam, patience, service, probes):
-    grid = np.linspace(0.0, 12.0, 24001)
-    table = TailMeasure(grid, np.exp(-grid), 1.0, "linear")
-    return {
-        "empty": InitialCondition(),
-        "equilibrium": equilibrium_state(lam, patience, service, probes).initial_condition(),
-        "r0 and equilibrium-shaped": InitialCondition(0.3, EquilibriumShaped(1.0)),
-        "service-complement": InitialCondition(0.0, ServiceComplementShaped(0.6)),
-        "tabulated": InitialCondition(0.2, TabulatedProfile(table)),
-    }
-
-
-@pytest.mark.parametrize("patience", [Exponential(1.0), Uniform(0.0, 2.0), LogNormal(0.0, 0.8)])
-def test_initial_profiles_equal_the_solution_profiles_at_time_zero(patience):
-    lam, service = 1.5, Exponential(1.0)
-    probes = np.linspace(-3.0, 4.0, 141)
-    cfg = _cfg(lam, patience, service, horizon=0.01)
-    for name, init in _initial_forms(lam, patience, service, probes).items():
-        sol = solve(cfg, init)
-        start = initial_profiles(cfg, sol.initial, probes)
-        at_zero = sol.measures_at(0.0, probes)
-        for got, want in ((start.buffer, at_zero.buffer), (start.server, at_zero.server)):
-            np.testing.assert_allclose(got.tails, want.tails, rtol=0.0, atol=1e-15, err_msg=name)
-            assert got.total == pytest.approx(want.total, rel=1e-15, abs=0.0), name
-        assert start.buffer.total == sol.initial.virtual0
-        assert start.server.total == pytest.approx(sol.initial.busy0, abs=1e-12), name
 
 
 def test_measures_at_matches_equilibrium_profiles():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fluidq.distributions import Deterministic, Exponential, Uniform
+from fluidq.distributions import Deterministic, Exponential, LogNormal, Uniform
 from fluidq.equilibrium import equilibrium_state
-from fluidq.fluid import FluidConfig, MeasureProfiles, solve
+from fluidq.fluid import (FluidConfig, InitialCondition, TabulatedProfile, solve,
+                          validate_initial)
 from fluidq.measures import TailMeasure
 from fluidq.simulator import (
     SimConfig,
@@ -160,16 +161,68 @@ def test_fluid_scale_examples():
     assert emp.scaled(1.0 / 100).total == pytest.approx(0.5)
 
 
+def _equilibrium_start(lam, patience, service):
+    """The equilibrium state and the validated fluid start state it gives."""
+    state = equilibrium_state(lam, patience, service, np.linspace(-1.0, 1.0, 3))
+    fc = FluidConfig(arrival_rate=lam, patience=patience, service=service)
+    return state, validate_initial(fc, state.initial_condition())
+
+
 def test_fluid_matched_initialization_counts():
-    probes = np.linspace(-6.0, 10.0, 257)
-    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0), probes)
-    init = MeasureProfiles(state.buffer_tail, state.server_tail)
+    state, init = _equilibrium_start(1.2, Exponential(1.0), Exponential(1.0))
     n = 50
     cfg = _mmnm_config(n, snapshots=(0.0, 5.0), initial=init)
     at_zero = run(cfg)[0]
     assert at_zero.busy_servers == int(np.floor(n * state.busy_mass))
     assert at_zero.virtual_size == int(np.floor(n * state.virtual_mass))
     assert at_zero.queue_size <= at_zero.virtual_size
+
+
+def test_seeded_completions_are_positive_quantiles_of_the_exact_law():
+    service = LogNormal.from_mean_cv(1.0, 1.0)
+    _, init = _equilibrium_start(1.5, Exponential(1.0), service)
+    n = 400
+    cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), service, horizon=1.0,
+                    snapshot_times=(1.0,), initial=init)
+    done = np.sort(list(_Engine(cfg, 0).busy.values()))
+    assert done.size == n and done[0] > 0.0
+    assert done[-1] > cfg.horizon  # not clamped to a probe range
+    np.testing.assert_allclose(service.equilibrium_cdf(done), (np.arange(n) + 0.5) / n,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_seeded_buffer_arrived_in_order_over_the_offered_wait():
+    state, init = _equilibrium_start(1.5, Exponential(1.0), Exponential(1.0))
+    assert init.wait0 == pytest.approx(state.offered_wait, rel=1e-12)
+    engine = _Engine(_mmnm_config(400, lam=1.5, initial=init), 0)
+    arrivals = np.array([arrival for arrival, _, _ in engine.buffer])  # from the FIFO head
+    assert arrivals.size == int(np.floor(400 * init.virtual0)) > 0
+    assert -init.wait0 <= arrivals[0] and arrivals[-1] <= 0.0
+    assert np.all(np.diff(arrivals) > 0.0)
+
+
+def test_tabulated_profile_with_mass_past_its_grid_seeds_at_the_grid_end():
+    grid = np.linspace(0.0, 2.0, 2001)
+    table = TailMeasure(grid, 1.0 - 0.3 * grid, 1.0, "linear")  # mass 0.4 lies past x = 2
+    fc = FluidConfig(arrival_rate=1.2, patience=Exponential(1.0), service=Exponential(1.0))
+    init = validate_initial(fc, InitialCondition(0.0, TabulatedProfile(table)))
+    n = 50
+    done = np.sort(list(_Engine(_mmnm_config(n, initial=init), 0).busy.values()))
+    levels = 1.0 - (np.arange(n) + 0.5) / n
+    below = levels < table.tails[-1]  # the last 20 levels
+    assert below.sum() == 20
+    np.testing.assert_allclose(done[below], grid[-1], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(table.tail_at(done[~below]), levels[~below], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [400, 1600])
+def test_equilibrium_start_keeps_the_scaled_queue_at_its_fluid_value(n):
+    state, init = _equilibrium_start(1.5, Exponential(1.0), Exponential(1.0))
+    cfg = _mmnm_config(n, lam=1.5, horizon=2.0, snapshots=np.arange(9) * 0.25,
+                       replications=8, initial=init)
+    queue = [[fluid_scale(s, n).queue_size for s in rep] for rep in run_replications(cfg)]
+    gap = np.abs(np.mean(queue, axis=0) - state.queue_mass)
+    assert float(np.max(gap)) <= 0.05, gap
 
 
 # ---------------------------------------------------------------- comparison
