@@ -210,8 +210,7 @@ def _initial_condition(cfg: RunConfig, fc: fluid.FluidConfig) -> fluid.InitialCo
     if spec in (None, "empty"):
         return fluid.InitialCondition()
     if spec in ("equilibrium", {"kind": "equilibrium"}):
-        state = eq.equilibrium_state(fc.arrival_rate, fc.patience, fc.service, _probes(cfg))
-        return state.initial_condition()
+        return eq.equilibrium_state(fc.arrival_rate, fc.patience, fc.service).initial_condition()
     if not (isinstance(spec, dict) and set(spec) <= {"r0", "server_profile"}):
         raise ConfigError(EXIT_MODE_MISMATCH, f"invalid initial condition spec: {spec!r}")
     profile_spec = spec.get("server_profile", {"kind": "empty"})
@@ -256,8 +255,7 @@ def _run_fluid_solve(cfg: RunConfig, out: str) -> int:
 
 def _run_equilibrium(cfg: RunConfig, out: str) -> int:
     state = eq.equilibrium_state(
-        float(cfg["arrival_rate"]), _dist(cfg.raw, "patience"), _dist(cfg.raw, "service"),
-        _probes(cfg))
+        float(cfg["arrival_rate"]), _dist(cfg.raw, "patience"), _dist(cfg.raw, "service"))
     doc = state.to_json_dict()
     with open(os.path.join(out, "equilibrium.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -25,15 +25,18 @@ class DistributionError(ValueError):
     """Invalid distribution parameters or an unsupported role."""
 
 
-# Bisection controls for the integrated-sf inverse.  The integrated survival
-# function is 1-Lipschitz (its density is sf <= 1), so an x-tolerance of
-# 1e-12 bounds the y-error by the same amount.
-_INV_TOL = 1e-12
-_INV_MAX_ITER = 200
+def bisect_increasing(func, y, lo, hi=None):
+    """Where the nondecreasing func reaches y, entrywise in [lo, hi]: 80 vectorized halvings.
 
-
-def bisect_increasing(func, y, lo, hi):
-    """Where the nondecreasing func reaches y, entrywise in [lo, hi]: 80 vectorized halvings."""
+    Without hi, the upper bracket doubles from 1 until func reaches every
+    target, and stops past 1e300, where the unreached targets get the bracket
+    end.  The package's one monotone inversion.
+    """
+    y = np.asarray(y, dtype=float)
+    if hi is None:
+        hi = 1.0
+        while hi <= 1e300 and np.any(np.asarray(func(hi)) < y):
+            hi *= 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         below = np.asarray(func(mid)) < y
@@ -114,31 +117,13 @@ class DistributionSpec:
         raise NotImplementedError
 
     def integrated_sf_inverse(self, y):
-        """Inverse of integrated_sf on [0, integrated_sf_total).
-
-        For y >= integrated_sf_total, returns support_end (which may be the
-        +inf sentinel).  Default is bisection on the strictly increasing
-        stretch; families with closed forms override.
-        """
+        """Inverse of integrated_sf, entrywise: 0 for y <= 0, support_end (which may
+        be the +inf sentinel) for y >= integrated_sf_total, bisection between."""
         st = self.stats()
-        if y <= 0.0:
-            return 0.0
-        if y >= st.integrated_sf_total:
-            return st.support_end
-        lo, hi = 0.0, 1.0
-        while self.integrated_sf(hi) < y:
-            hi *= 2.0
-            if hi > 1e300:  # unreachable for y < integrated_sf_total
-                return st.support_end
-        for _ in range(_INV_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if self.integrated_sf(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _INV_TOL:
-                break
-        return 0.5 * (lo + hi)
+        y = np.asarray(y, dtype=float)
+        inside = (y > 0.0) & (y < st.integrated_sf_total)
+        x = bisect_increasing(self.integrated_sf, np.where(inside, y, 0.0), 0.0)
+        return _maybe_scalar(np.where(inside, x, np.where(y <= 0.0, 0.0, st.support_end)))
 
     def equilibrium_cdf(self, x):
         """Stationary-excess distribution: integrated_sf(x) / mean."""
@@ -180,10 +165,6 @@ class DistributionSpec:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
-    @staticmethod
-    def from_dict(spec: dict) -> "DistributionSpec":
-        return distribution_from_dict(spec)
-
 
 @dataclass(frozen=True)
 class Exponential(DistributionSpec):
@@ -212,13 +193,6 @@ class Exponential(DistributionSpec):
     def integrated_sf(self, x):
         x = np.asarray(x, dtype=float)
         return _maybe_scalar(-np.expm1(-self.rate * np.maximum(x, 0.0)) / self.rate)
-
-    def integrated_sf_inverse(self, y):
-        if y <= 0.0:
-            return 0.0
-        if y >= 1.0 / self.rate:
-            return math.inf
-        return -math.log1p(-self.rate * y) / self.rate
 
     def stats(self) -> DistStats:
         return DistStats(
@@ -262,11 +236,6 @@ class Deterministic(DistributionSpec):
     def integrated_sf(self, x):
         x = np.asarray(x, dtype=float)
         return _maybe_scalar(np.clip(x, 0.0, self.value))
-
-    def integrated_sf_inverse(self, y):
-        if y <= 0.0:
-            return 0.0
-        return min(y, self.value)
 
     def stats(self) -> DistStats:
         return DistStats(
@@ -314,19 +283,6 @@ class Uniform(DistributionSpec):
         xl = np.clip(x, 0.0, self.lo)
         u = np.clip(x - self.lo, 0.0, self._width)
         return _maybe_scalar(xl + u - u * u / (2.0 * self._width))
-
-    def integrated_sf_inverse(self, y):
-        if y <= 0.0:
-            return 0.0
-        total = self.stats().integrated_sf_total
-        if y >= total:
-            return self.hi
-        if y <= self.lo:
-            return y
-        # solve u - u^2/(2w) = y - lo for u in (0, w)
-        w = self._width
-        u = w - math.sqrt(w * w - 2.0 * w * (y - self.lo))
-        return self.lo + u
 
     def stats(self) -> DistStats:
         mean = 0.5 * (self.lo + self.hi)

@@ -8,16 +8,12 @@ roots is exposed alongside it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec
-from .fluid import EquilibriumShaped, InitialCondition, virtual_buffer_tail
-from .measures import TailMeasure
-
-_ROOT_TOL = 1e-10
+from .distributions import DistributionSpec, bisect_increasing
+from .fluid import EquilibriumShaped, InitialCondition
 
 
 class EquilibriumError(ValueError):
@@ -39,8 +35,6 @@ class EquilibriumState:
     virtual_mass: float      # R_inf = arrival_rate * w
     abandonment_fraction: float
     traffic_intensity: float
-    buffer_tail: TailMeasure
-    server_tail: TailMeasure
 
     @property
     def system_mass(self) -> float:
@@ -73,27 +67,15 @@ def initial_condition_from_json(doc: dict) -> InitialCondition:
     )
 
 
-def _bisect_boundary(predicate, lo: float, hi: float) -> float:
-    """Smallest point where the nondecreasing predicate turns true, within tolerance."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _ROOT_TOL:
-            break
-    return hi
-
-
 def solve_offered_wait(arrival_rate: float, patience: DistributionSpec,
                        service: DistributionSpec) -> OfferedWait:
     """Solve the patience CDF for the overload fraction.
 
-    Underloaded systems wait zero with a degenerate bracket.  Otherwise the
-    smallest root is found by bisection over [0, support end], expanding the
-    upper bracket geometrically when the support is unbounded; the bracket
-    [w_lo, w_hi] covers any flat stretch of the CDF at the target level.
+    Underloaded systems wait zero with a degenerate bracket.  Otherwise one
+    bisection finds both ends of the bracket [w_lo, w_hi] of roots, to the
+    last float: w_lo, the smallest root, is where the CDF reaches the target,
+    and w_hi is where it reaches the next float past the target, so that a
+    flat stretch of the CDF at the target level lies inside the bracket.
     """
     service.validate_as_service()
     rho = arrival_rate * service.mean
@@ -102,36 +84,22 @@ def solve_offered_wait(arrival_rate: float, patience: DistributionSpec,
     target = (rho - 1.0) / rho
     if target >= 1.0:
         raise EquilibriumError("target-unreachable: abandonment fraction would reach 1")
-
-    hi = patience.stats().support_end
-    if math.isinf(hi):
-        hi = 1.0
-        while float(patience.cdf(hi)) <= target:
-            hi *= 2.0
-    w_lo = _bisect_boundary(lambda v: float(patience.cdf(v)) >= target, 0.0, hi)
-    w_hi = _bisect_boundary(lambda v: float(patience.cdf(v)) > target, 0.0, hi)
-    return OfferedWait(wait=w_lo, bracket=(w_lo, max(w_lo, w_hi)))
+    w_lo, w_hi = bisect_increasing(patience.cdf, [target, np.nextafter(target, 1.0)], 0.0)
+    return OfferedWait(wait=float(w_lo), bracket=(float(w_lo), float(w_hi)))
 
 
 def equilibrium_state(arrival_rate: float, patience: DistributionSpec,
-                      service: DistributionSpec, probes) -> EquilibriumState:
-    """Steady-state masses and measure profiles on the probe grid."""
+                      service: DistributionSpec) -> EquilibriumState:
+    """Steady-state offered wait and masses; EquilibriumShaped(busy_mass) is the server law."""
     ow = solve_offered_wait(arrival_rate, patience, service)
     rho = arrival_rate * service.mean
     w = ow.wait
-    probes = np.sort(np.asarray(probes, dtype=float))
-
-    virtual = arrival_rate * w
-    busy = min(rho, 1.0)
-    server = EquilibriumShaped(busy).tail(service, probes)
     return EquilibriumState(
         offered_wait=w,
         wait_bracket=ow.bracket,
         queue_mass=arrival_rate * float(patience.integrated_sf(w)),
-        busy_mass=busy,
-        virtual_mass=virtual,
+        busy_mass=min(rho, 1.0),
+        virtual_mass=arrival_rate * w,
         abandonment_fraction=float(patience.cdf(w)),
         traffic_intensity=rho,
-        buffer_tail=virtual_buffer_tail(arrival_rate, patience, virtual, probes),
-        server_tail=TailMeasure(probes, server, busy, "linear"),
     )

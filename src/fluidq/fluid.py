@@ -15,7 +15,7 @@ buffer/server profiles can be materialized at any grid time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,20 +192,18 @@ def validate_initial(cfg: FluidConfig, init: InitialCondition) -> ValidatedIniti
 # -- the survival map and the initial load ------------------------------------
 
 
-def survival_at_offered_wait(arrival_rate: float, patience: DistributionSpec, queue_mass: float) -> float:
-    """Fraction of arriving fluid patient enough to reach service.
+def survival_at_offered_wait(arrival_rate: float, patience: DistributionSpec, queue_mass):
+    """Fraction of arriving fluid patient enough to reach service, entrywise.
 
     For queue mass q the offered wait is the inverse integrated patience
     survival at q/arrival_rate; the value is the patience complement there.
     Nonincreasing in q, equal to 0 from arrival_rate times the patience tail
     area onward.
     """
-    if queue_mass <= 0.0:
-        return float(patience.sf(0.0))
-    wait = patience.integrated_sf_inverse(queue_mass / arrival_rate)
-    if math.isinf(wait):
-        return 0.0
-    return float(patience.sf(wait))
+    wait = np.asarray(patience.integrated_sf_inverse(np.asarray(queue_mass) / arrival_rate))
+    # past an unbounded support sf is 0 exactly, not 1 minus a rounded sum of weights
+    out = np.where(np.isinf(wait), 0.0, np.asarray(patience.sf(wait)))
+    return float(out) if out.ndim == 0 else out
 
 
 def initial_load(cfg: FluidConfig, init: ValidatedInitial, t):
@@ -452,9 +450,7 @@ def fixed_point_residual(sol: FluidSolution) -> float:
     rev_ge, rev_g = _reversed_increments(cfg, sol.times)
     steps = rev_ge.size
     load = np.asarray(initial_load(cfg, sol.initial, sol.times))
-    surv = np.array(
-        [survival_at_offered_wait(cfg.arrival_rate, cfg.patience, q) for q in sol.queue]
-    )
+    surv = survival_at_offered_wait(cfg.arrival_rate, cfg.patience, sol.queue)
     worst = 0.0
     for k in range(1, steps + 1):
         rhs = (

@@ -10,7 +10,7 @@ mass at or below 0 is zero, so their tail at x <= 0 equals the total.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -74,11 +74,7 @@ def _busy_residuals(service: DistributionSpec, init: ValidatedInitial, count: in
     a tabulated tail keeps past its grid go where that tail stops falling, the grid's end."""
     levels = init.busy0 * (1.0 - (np.arange(count) + 0.5) / count)
     levels = np.maximum(levels, init.server_tail(service, np.finfo(float).max))
-    hi = 1.0
-    while count and init.server_tail(service, hi) > levels[-1]:
-        hi *= 2.0
-    return bisect_increasing(lambda x: -init.server_tail(service, x), -levels,
-                             np.zeros(count), np.full(count, hi))
+    return bisect_increasing(lambda x: -init.server_tail(service, x), -levels, np.zeros(count))
 
 
 class _Engine:
@@ -249,9 +245,7 @@ class FluidComparison:
     mean_server_dist: np.ndarray
     max_server_dist: np.ndarray
     mean_queue_gap: np.ndarray
-    max_queue_gap: np.ndarray
     mean_busy_gap: np.ndarray
-    max_busy_gap: np.ndarray
     queue_gap_sup_by_rep: np.ndarray   # sup over snapshot times, per replication
     busy_gap_final_by_rep: np.ndarray  # |busy gap| at the last snapshot, per replication
 
@@ -298,9 +292,7 @@ def compare_to_fluid(scaled_reps: list[list[SystemSnapshot]], sol: FluidSolution
         mean_server_dist=server_d.mean(axis=0),
         max_server_dist=server_d.max(axis=0),
         mean_queue_gap=queue_g.mean(axis=0),
-        max_queue_gap=queue_g.max(axis=0),
         mean_busy_gap=busy_g.mean(axis=0),
-        max_busy_gap=busy_g.max(axis=0),
         queue_gap_sup_by_rep=queue_g.max(axis=1),
         busy_gap_final_by_rep=busy_g[:, -1].copy(),
     )

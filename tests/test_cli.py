@@ -155,7 +155,7 @@ _SEEDED = {"arrival_rate": 1.5, "patience": EXP, "service": EXP, "n": [40, 160],
 
 
 def _equilibrium_masses():
-    state = equilibrium_state(1.5, Exponential(1.0), Exponential(1.0), np.linspace(-1.0, 1.0, 3))
+    state = equilibrium_state(1.5, Exponential(1.0), Exponential(1.0))
     return state.virtual_mass, state.busy_mass
 
 

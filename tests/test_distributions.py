@@ -12,6 +12,7 @@ from fluidq.distributions import (
     Uniform,
     distribution_from_dict,
 )
+from fluidq.fluid import survival_at_offered_wait
 
 LN2 = math.log(2.0)
 
@@ -135,6 +136,12 @@ def test_integrated_sf_inverse_round_trip(dist):
     for y in np.linspace(0.0, 0.99 * total, 200):
         x = dist.integrated_sf_inverse(float(y))
         assert dist.integrated_sf(x) == pytest.approx(float(y), abs=1e-10)
+    # arrays invert entrywise as the scalar calls do, both clamped ends in one array
+    ys = np.concatenate([[-1.0, 0.0], np.linspace(0.01, 0.99, 50) * total, [total, 2.0 * total]])
+    np.testing.assert_array_equal(dist.integrated_sf_inverse(ys),
+                                  [dist.integrated_sf_inverse(float(y)) for y in ys])
+    np.testing.assert_array_equal(survival_at_offered_wait(1.5, dist, 1.5 * ys),
+                                  [survival_at_offered_wait(1.5, dist, float(q)) for q in 1.5 * ys])
 
 
 def test_integrated_sf_inverse_examples():

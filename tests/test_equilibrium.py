@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fluidq.distributions import Exponential, LogNormal, Uniform
+from fluidq.distributions import Exponential, HyperExponential, LogNormal, Uniform
 from fluidq.equilibrium import equilibrium_state, initial_condition_from_json, solve_offered_wait
-from fluidq.fluid import FluidConfig, solve
+from fluidq.fluid import EquilibriumShaped, FluidConfig, solve, virtual_buffer_tail
 
-# step 1/16 so that the closed-form checkpoints (0, 0.5, 2.0) are probe points
 PROBES = np.linspace(-6.0, 10.0, 257)
 
 
@@ -40,26 +39,28 @@ def test_offered_wait_bounded_patience_support():
 
 
 def test_equilibrium_state_underloaded():
-    state = equilibrium_state(0.8, Exponential(1.0), Exponential(1.0), PROBES)
+    state = equilibrium_state(0.8, Exponential(1.0), Exponential(1.0))
     assert state.queue_mass == 0.0
     assert state.busy_mass == pytest.approx(0.8, abs=1e-12)
     assert state.virtual_mass == 0.0
-    assert np.all(state.buffer_tail.tails == 0.0)
+    buffer = virtual_buffer_tail(0.8, Exponential(1.0), state.virtual_mass, PROBES)
+    assert np.all(buffer.tails == 0.0)
 
 
 def test_equilibrium_state_closed_form_values():
-    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0), PROBES)
+    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0))
     assert state.offered_wait == pytest.approx(math.log(1.2), abs=1e-9)
     assert state.queue_mass == pytest.approx(0.2, abs=1e-9)
     assert state.busy_mass == 1.0
     assert state.virtual_mass == pytest.approx(1.2 * math.log(1.2), abs=1e-9)
 
-    state = equilibrium_state(2.0, Exponential(2.0), Exponential(1.0), PROBES)
+    state = equilibrium_state(2.0, Exponential(2.0), Exponential(1.0))
     assert state.queue_mass == pytest.approx(0.5, abs=1e-9)
     assert state.system_mass == pytest.approx(1.5, abs=1e-9)
     # exponential service: equilibrium server tail is exp(-x)
     for x in (0.0, 0.5, 2.0):
-        assert state.server_tail.tail_at(x) == pytest.approx(math.exp(-x), abs=1e-9)
+        server_tail = EquilibriumShaped(state.busy_mass).tail(Exponential(1.0), x)
+        assert server_tail == pytest.approx(math.exp(-x), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -70,28 +71,34 @@ def test_equilibrium_state_closed_form_values():
         (0.8, Uniform(0.0, 2.0), Exponential(1.0)),
         (1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0)),
         (1.7, Uniform(0.0, 2.0), LogNormal.from_mean_cv(1.0, 0.5)),
+        (1.5, LogNormal.from_mean_cv(1.0, 1.0), Exponential(1.0)),
+        (1.5, HyperExponential((0.4, 0.6), (0.5, 2.0)), Exponential(1.0)),
     ],
 )
 def test_flow_balance_and_littles_law(lam, patience, service):
-    state = equilibrium_state(lam, patience, service, PROBES)
+    state = equilibrium_state(lam, patience, service)
     mu = 1.0 / service.mean
     inflow = lam
     outflow = lam * state.abandonment_fraction + state.busy_mass * mu
     assert outflow == pytest.approx(inflow, abs=1e-9)
     # Little's law holds exactly as computed
     assert state.virtual_mass == lam * state.offered_wait
+    # the offered wait meets its root to rounding: F(w) = (rho - 1)/rho
+    rho = state.traffic_intensity
+    if rho > 1.0:
+        assert abs(float(patience.cdf(state.offered_wait)) - (rho - 1.0) / rho) <= 1e-15
 
 
 def test_equilibrium_feeds_back_into_fluid_solver():
     lam, patience, service = 2.0, Exponential(2.0), Exponential(1.0)
-    state = equilibrium_state(lam, patience, service, PROBES)
+    state = equilibrium_state(lam, patience, service)
     cfg = FluidConfig(arrival_rate=lam, patience=patience, service=service, horizon=10.0, dt=1e-3)
     sol = solve(cfg, state.initial_condition())
     assert float(np.max(np.abs(sol.system - sol.system[0]))) <= 1e-3
 
 
 def test_json_round_trip_rebuilds_initial_condition():
-    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0), PROBES)
+    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0))
     doc = state.to_json_dict()
     assert set(doc) == {"w", "w_bracket", "Q_inf", "Z_inf", "R_inf",
                         "abandonment_fraction", "rho"}

@@ -133,8 +133,7 @@ def test_solve_underloaded_closed_form():
 
 
 def test_solve_equilibrium_start_stays_constant():
-    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0),
-                              np.linspace(-5.0, 8.0, 128))
+    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0))
     sol = solve(_cfg(1.2, Exponential(1.0), Exponential(1.0)), state.initial_condition())
     assert float(np.max(np.abs(sol.system - sol.system[0]))) <= 1e-3
 
@@ -147,7 +146,7 @@ def test_solve_overloaded_reaches_stationary_point():
 def test_solve_equilibrium_with_bounded_patience_support():
     # Uniform(0,2) patience, rho=2: w=1, Q_inf = 2*(1 - 1/4) = 1.5
     lam, patience, service = 2.0, Uniform(0.0, 2.0), Exponential(1.0)
-    state = equilibrium_state(lam, patience, service, np.linspace(-4.0, 8.0, 97))
+    state = equilibrium_state(lam, patience, service)
     assert state.queue_mass == pytest.approx(1.5, abs=1e-9)
     sol = solve(_cfg(lam, patience, service, horizon=4.0), state.initial_condition())
     assert float(np.max(np.abs(sol.system - sol.system[0]))) <= 1e-3
@@ -219,8 +218,7 @@ def test_offered_wait_root_ties_queue_system_and_virtual_buffer(family, start):
     lam, patience, service = 1.5, PATIENCE_FAMILIES[family], Exponential(1.0)
     init = None
     if start == "equilibrium":
-        init = equilibrium_state(lam, patience, service,
-                                 np.linspace(-4.0, 4.0, 65)).initial_condition()
+        init = equilibrium_state(lam, patience, service).initial_condition()
     sol = solve(_cfg(lam, patience, service, horizon=2.0, dt=4e-3), init)
     np.testing.assert_allclose(sol.queue,
                                lam * np.asarray(patience.integrated_sf(sol.virtual / lam)),
@@ -274,12 +272,13 @@ def test_measures_at_empty_initial_time_zero():
 def test_measures_at_matches_equilibrium_profiles():
     probes = np.linspace(-6.0, 8.0, 256)
     lam, patience, service = 1.2, Exponential(1.0), Exponential(1.0)
-    state = equilibrium_state(lam, patience, service, probes)
+    state = equilibrium_state(lam, patience, service)
     sol = solve(_cfg(lam, patience, service, horizon=2.0), state.initial_condition())
+    start = sol.measures_at(0.0, probes)
     for t in (1.0, 2.0):
         profiles = sol.measures_at(t, probes)
-        assert sup_distance(profiles.buffer, state.buffer_tail, probes) <= 1e-3
-        assert sup_distance(profiles.server, state.server_tail, probes) <= 1e-3
+        assert sup_distance(profiles.buffer, start.buffer, probes) <= 1e-3
+        assert sup_distance(profiles.server, start.server, probes) <= 1e-3
 
 
 def test_measures_at_buffer_against_quadrature_oracle():
@@ -325,8 +324,7 @@ def test_drain_check_reads_the_survival_the_bisection_gives():
 
 
 def test_drain_monotone_equilibrium_affine():
-    probes = np.linspace(-5.0, 8.0, 64)
-    state = equilibrium_state(2.0, Exponential(2.0), Exponential(1.0), probes)
+    state = equilibrium_state(2.0, Exponential(2.0), Exponential(1.0))
     sol = solve(_cfg(2.0, Exponential(2.0), Exponential(1.0), horizon=3.0),
                 state.initial_condition())
     assert check_queue_drain_monotone(sol) <= 1e-12

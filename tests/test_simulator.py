@@ -163,7 +163,7 @@ def test_fluid_scale_examples():
 
 def _equilibrium_start(lam, patience, service):
     """The equilibrium state and the validated fluid start state it gives."""
-    state = equilibrium_state(lam, patience, service, np.linspace(-1.0, 1.0, 3))
+    state = equilibrium_state(lam, patience, service)
     fc = FluidConfig(arrival_rate=lam, patience=patience, service=service)
     return state, validate_initial(fc, state.initial_condition())
 
