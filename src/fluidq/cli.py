@@ -280,13 +280,15 @@ def _run_ode_check(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
+def _snapshot_times(cfg: RunConfig) -> tuple:
+    return tuple(float(t) for t in cfg.get("snapshot_times", [float(cfg["horizon"])]))
+
+
 def _sim_configs(cfg: RunConfig, fc: fluid.FluidConfig, init: fluid.ValidatedInitial):
     """One simulator config per n, each seeded from the fluid start state."""
     base_arrival = (_dist(cfg.raw, "arrival") if "arrival" in cfg.raw
                     else Exponential(fc.arrival_rate))
     ns = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
-    snapshot_times = tuple(float(t) for t in cfg.get("snapshot_times",
-                                                     [float(cfg["horizon"])]))
     for n in map(int, ns):
         try:
             sim_cfg = simulator.SimConfig(
@@ -294,7 +296,7 @@ def _sim_configs(cfg: RunConfig, fc: fluid.FluidConfig, init: fluid.ValidatedIni
                 interarrival=base_arrival.time_scaled(1.0 / n),
                 patience=fc.patience, service=fc.service,
                 horizon=fc.horizon,
-                snapshot_times=snapshot_times,
+                snapshot_times=_snapshot_times(cfg),
                 seed=int(cfg["seed"]),
                 replications=int(cfg["replications"]),
                 initial=init,
@@ -325,12 +327,14 @@ def _run_compare(cfg: RunConfig, out: str) -> int:
     probes = _probes(cfg)
     fc, init = _fluid_model(cfg)
     sol = fluid.solve(fc, init)
+    sims = list(_sim_configs(cfg, fc, init))  # validated before the profiles are built
+    profiles = [sol.measures_at(t, probes) for t in _snapshot_times(cfg)]
     rows = []
     summaries = []
-    for n, sim_cfg in _sim_configs(cfg, fc, init):
+    for n, sim_cfg in sims:
         reps = simulator.run_replications(sim_cfg)
         scaled = [[simulator.fluid_scale(s, n) for s in rep] for rep in reps]
-        comp = simulator.compare_to_fluid(scaled, sol, probes)
+        comp = simulator.compare_to_fluid(scaled, sol, probes, profiles)
         for j, t in enumerate(comp.times):
             rows.append([n, t, comp.mean_buffer_dist[j], comp.max_buffer_dist[j],
                          comp.mean_server_dist[j], comp.max_server_dist[j],

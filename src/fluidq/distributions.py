@@ -90,15 +90,6 @@ class DistributionSpec:
         """Density where one exists."""
         raise NotImplementedError
 
-    def hazard(self, x):
-        """pdf / sf below the support end, 0 beyond."""
-        x = np.asarray(x, dtype=float)
-        end = self.stats().support_end
-        sf = np.asarray(self.sf(x))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where((x < end) & (sf > 0.0), np.asarray(self.pdf(x)) / sf, 0.0)
-        return _maybe_scalar(out)
-
     def quantile(self, u):
         """Inverse CDF on [0, 1)."""
         raise NotImplementedError
@@ -135,7 +126,11 @@ class DistributionSpec:
         return _maybe_scalar(np.clip(out, 0.0, 1.0))
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF sampling; identical seed gives identical draws."""
+        """Inverse-CDF sampling, quantile(rng.random(size)); identical seed gives identical draws.
+
+        quantile of a contiguous array equals entrywise quantile of its 0-d entries, bit
+        for bit, so a caller may draw a block of uniforms and map it in one call without
+        changing a draw; the simulator draws its per-arrival rows that way."""
         return self.quantile(rng.random(size))
 
     # -- role validation ---------------------------------------------------
@@ -225,9 +220,6 @@ class Deterministic(DistributionSpec):
 
     def pdf(self, x):
         raise DistributionError("deterministic distribution has no density")
-
-    def hazard(self, x):
-        raise DistributionError("deterministic distribution has no hazard rate")
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)

@@ -9,7 +9,6 @@ mass at or below 0 is zero, so their tail at x <= 0 equals the total.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +42,10 @@ class TailMeasure:
             raise ValueError("interpolation must be 'linear' or 'step'")
 
     @classmethod
-    def zero(cls, grid=(0.0,), interpolation: str = "linear") -> "TailMeasure":
-        g = np.asarray(grid, dtype=float)
-        return cls(g, np.zeros_like(g), 0.0, interpolation)
-
-    @classmethod
-    def from_samples(cls, values, mass_per_point: float, probes=None) -> "TailMeasure":
+    def from_samples(cls, values, mass_per_point: float) -> "TailMeasure":
         """Empirical measure: tail(x) = mass_per_point * #{i : values[i] > x}."""
         values = np.asarray(values, dtype=float)
-        pieces = [np.unique(values)]
-        if probes is not None:
-            pieces.append(np.asarray(probes, dtype=float))
-        grid = np.unique(np.concatenate(pieces)) if any(p.size for p in pieces) else np.array([0.0])
-        if grid.size == 0:
-            grid = np.array([0.0])
+        grid = np.unique(values) if values.size else np.array([0.0])
         sorted_vals = np.sort(values)
         counts = values.size - np.searchsorted(sorted_vals, grid, side="right")
         return cls(grid, mass_per_point * counts, mass_per_point * values.size, "step")
@@ -103,23 +92,3 @@ def uniform_probes(lo: float, hi: float, count: int = 512) -> np.ndarray:
         raise ValueError("probe grid needs hi > lo and count >= 2")
     return np.linspace(lo, hi, count)
 
-
-def write_tail_csv(measure: TailMeasure, fileobj) -> None:
-    """Serialize as columns x, tail (full precision)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["x", "tail"])
-    for x, t in zip(measure.grid, measure.tails):
-        writer.writerow([f"{x:.17g}", f"{t:.17g}"])
-
-
-def read_tail_csv(fileobj, total=None, interpolation: str = "linear") -> TailMeasure:
-    reader = csv.reader(fileobj)
-    header = next(reader)
-    if header != ["x", "tail"]:
-        raise ValueError("expected columns x, tail")
-    rows = [(float(a), float(b)) for a, b in reader]
-    grid = np.array([r[0] for r in rows])
-    tails = np.array([r[1] for r in rows])
-    if total is None:
-        total = float(tails[0]) if tails.size else 0.0
-    return TailMeasure(grid, tails, total, interpolation)

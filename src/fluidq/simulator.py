@@ -17,10 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import DistributionSpec, bisect_increasing
-from .fluid import FluidSolution, ValidatedInitial
+from .fluid import FluidSolution, MeasureProfiles, ValidatedInitial
 from .measures import TailMeasure, sup_distance
 
 _COMPLETION, _ARRIVAL = 0, 1  # completions processed before arrivals on ties
+_BLOCK = 2048  # arrivals per block of uniforms
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,18 @@ class _Engine:
         self.initial_virtual = 0
         self.initial_busy = 0
 
-        self._arrival_schedule = None
-        if arrival_times is not None:
-            self._arrival_schedule = list(arrival_times)
+        self._renewal = arrival_times is None
 
         self._seed_initial_state()
 
-        if self._arrival_schedule is not None:
-            for i, t in enumerate(self._arrival_schedule, start=1):
-                heapq.heappush(self.events, (float(t), _ARRIVAL, i))
-            self._next_index = len(self._arrival_schedule) + 1
-        else:
-            first = float(self.cfg.interarrival.sample(self.rng))
-            heapq.heappush(self.events, (first, _ARRIVAL, 1))
+        self._rows = self._draw_rows()
+        self._row = next(self._rows)  # the next arrival's draws
+        if self._renewal:
+            heapq.heappush(self.events, (self._row[0], _ARRIVAL, 1))
             self._next_index = 2
+        else:
+            for i, t in enumerate(arrival_times, start=1):
+                heapq.heappush(self.events, (float(t), _ARRIVAL, i))
 
     def _seed_initial_state(self):
         init = self.cfg.initial
@@ -126,6 +125,23 @@ class _Engine:
         self.buffer.extend(zip(arrivals.tolist(), patience.tolist(), services.tolist()))
         self.initial_virtual = waiting
 
+    def _draw_rows(self):
+        """One (gap, patience, service) row per arrival, (patience, service) on a schedule.
+
+        The rows read the stream after the seeding draws in order, as scalar sample()
+        calls would: rng.random((k, m)) gives the doubles of k m scalar calls row by row,
+        and each law samples as quantile(rng.random()).  Each column goes to quantile as
+        a contiguous array, whose results equal those of 0-d calls bit for bit.
+        """
+        laws = (self.cfg.patience, self.cfg.service)
+        if self._renewal:
+            laws = (self.cfg.interarrival, *laws)
+        while True:
+            block = self.rng.random((_BLOCK, len(laws)))
+            columns = [law.quantile(np.ascontiguousarray(block[:, j])).tolist()
+                       for j, law in enumerate(laws)]
+            yield from zip(*columns)
+
     # -- event handlers ----------------------------------------------------
 
     def _start_service(self, entry: tuple, server: int, now: float):
@@ -135,17 +151,16 @@ class _Engine:
 
     def _handle_arrival(self, now: float):
         self.arrivals += 1
-        patience = float(self.cfg.patience.sample(self.rng))
-        service = float(self.cfg.service.sample(self.rng))
+        patience, service = self._row[-2:]
+        self._row = next(self._rows)
         entry = (now, patience, service)
         if self.idle:
             self.left_buffer += 1  # passes through the virtual buffer instantly
             self._start_service(entry, heapq.heappop(self.idle), now)
         else:
             self.buffer.append(entry)
-        if self._arrival_schedule is None:
-            gap = float(self.cfg.interarrival.sample(self.rng))
-            heapq.heappush(self.events, (now + gap, _ARRIVAL, self._next_index))
+        if self._renewal:
+            heapq.heappush(self.events, (now + self._row[0], _ARRIVAL, self._next_index))
             self._next_index += 1
 
     def _handle_completion(self, now: float, server: int):
@@ -259,29 +274,32 @@ class FluidComparison:
 
 
 def compare_to_fluid(scaled_reps: list[list[SystemSnapshot]], sol: FluidSolution,
-                     probes) -> FluidComparison:
+                     probes, profiles: list[MeasureProfiles]) -> FluidComparison:
     """Distances per snapshot time, aggregated over replications.
 
+    profiles holds sol.measures_at(t, probes) for each snapshot time t, in order;
+    they depend on neither n nor the replication, so callers build them once.
     Snapshot times must lie on the fluid grid; a mismatch raises.
     """
     if not scaled_reps or not scaled_reps[0]:
         raise ValueError("at least one replication with one snapshot is required")
     times = [snap.time for snap in scaled_reps[0]]
+    if len(profiles) != len(times):
+        raise ValueError("one fluid profile per snapshot time is required")
     probes = np.asarray(probes, dtype=float)
 
     buffer_d = np.empty((len(scaled_reps), len(times)))
     server_d = np.empty_like(buffer_d)
     queue_g = np.empty_like(buffer_d)
     busy_g = np.empty_like(buffer_d)
-    for j, t in enumerate(times):
+    for j, (t, fluid) in enumerate(zip(times, profiles)):
         k = sol.grid_index(t)
-        profiles = sol.measures_at(t, probes)
         for i, rep in enumerate(scaled_reps):
             snap = rep[j]
             if snap.time != t:
                 raise ValueError("replications disagree on snapshot times")
-            buffer_d[i, j] = sup_distance(snap.buffer_measure, profiles.buffer, probes)
-            server_d[i, j] = sup_distance(snap.server_measure, profiles.server, probes)
+            buffer_d[i, j] = sup_distance(snap.buffer_measure, fluid.buffer, probes)
+            server_d[i, j] = sup_distance(snap.server_measure, fluid.server, probes)
             queue_g[i, j] = abs(snap.queue_size - sol.queue[k])
             busy_g[i, j] = abs(snap.busy_servers - sol.busy[k])
 

@@ -130,6 +130,7 @@ def _convergence_trend(service, seed):
     cfg = FluidConfig(arrival_rate=lam, patience=Exponential(alpha), service=service,
                       horizon=10.0, dt=1e-3)
     sol = solve(cfg)
+    profiles = [sol.measures_at(t, probes) for t in snapshot_times]
     mean_sup_q, final_z = [], {}
     for n in (25, 100, 400):
         sim_cfg = SimConfig(
@@ -144,7 +145,7 @@ def _convergence_trend(service, seed):
         )
         reps = run_replications(sim_cfg)
         scaled = [[fluid_scale(s, n) for s in rep] for rep in reps]
-        comp = compare_to_fluid(scaled, sol, probes)
+        comp = compare_to_fluid(scaled, sol, probes, profiles)
         mean_sup_q.append(comp.mean_sup_queue_gap)
         final_z[n] = comp.mean_final_busy_gap
     return mean_sup_q, final_z[400]

@@ -170,6 +170,19 @@ def test_sampling_is_deterministic_under_seed(dist):
     np.testing.assert_array_equal(draws1, draws2)
 
 
+def test_block_quantiles_equal_interleaved_scalar_draws():
+    # the simulator's stream contract: column j of one rng.random((k, m)) block, mapped
+    # by one quantile call on a contiguous array, is what law j's scalar draws give when
+    # the m laws take turns on the same stream
+    laws = FAMILIES + [Exponential(1.5).time_scaled(1.0 / 400)]
+    k = 500
+    block = np.random.default_rng(7).random((k, len(laws)))
+    columns = [law.quantile(np.ascontiguousarray(block[:, j])) for j, law in enumerate(laws)]
+    rng = np.random.default_rng(7)
+    scalar = np.array([[law.sample(rng) for law in laws] for _ in range(k)])
+    assert np.all(np.column_stack(columns) == scalar)
+
+
 def _ks_statistic(dist, n, seed):
     samples = np.sort(np.asarray(dist.sample(np.random.default_rng(seed), n)))
     cdf_vals = np.asarray(dist.cdf(samples))
@@ -258,10 +271,3 @@ def test_time_scaled_preserves_law_shape():
         x = rng.uniform(0.0, 3.0 * dist.mean, size=50)
         np.testing.assert_allclose(
             np.asarray(scaled.cdf(0.25 * x)), np.asarray(dist.cdf(x)), atol=1e-12)
-
-
-def test_hazard_values():
-    assert Exponential(2.0).hazard(1.3) == pytest.approx(2.0, abs=1e-12)
-    hx = HyperExponential((0.4, 0.6), (0.5, 2.0))
-    xs = np.linspace(0.0, 10.0, 50)
-    assert np.all(np.asarray(hx.hazard(xs)) <= 2.0 + 1e-12)

@@ -1,9 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
-from fluidq.measures import TailMeasure, read_tail_csv, sup_distance, uniform_probes, write_tail_csv
+from fluidq.measures import TailMeasure, sup_distance, uniform_probes
+
+_ZERO = TailMeasure([0.0], [0.0], 0.0)  # the zero measure
 
 
 def test_from_samples_examples():
@@ -21,8 +21,7 @@ def test_from_samples_examples():
 
 
 def test_tail_at_examples():
-    zero = TailMeasure.zero()
-    assert zero.tail_at(-3.0) == 0.0 and zero.tail_at(7.0) == 0.0
+    assert _ZERO.tail_at(-3.0) == 0.0 and _ZERO.tail_at(7.0) == 0.0
 
     emp = TailMeasure.from_samples([1.0, 2.0, 3.0], 1.0)
     assert emp.tail_at(2.0) == 1.0  # strict count of values > 2
@@ -49,7 +48,7 @@ def test_sup_distance_examples():
     assert sup_distance(d1, d2, [0.0, 1.5, 3.0]) == 1.0  # separated at probe 1.5
 
     emp = TailMeasure.from_samples([1.0, 2.0], 0.5)
-    assert sup_distance(emp, TailMeasure.zero(), [0.0]) == 1.0  # total-mass term
+    assert sup_distance(emp, _ZERO, [0.0]) == 1.0  # total-mass term
 
     with pytest.raises(ValueError, match="probes"):
         sup_distance(d1, d2, [])
@@ -110,14 +109,3 @@ def test_uniform_probes():
     assert p[0] == -2.0 and p[-1] == 2.0 and p.size == 9
     with pytest.raises(ValueError):
         uniform_probes(1.0, 0.0, 8)
-
-
-def test_csv_round_trip():
-    m = TailMeasure(np.array([-1.0, 0.5, 2.0]), np.array([1.7, 0.9, 0.0]), 1.7, "linear")
-    buf = io.StringIO()
-    write_tail_csv(m, buf)
-    buf.seek(0)
-    back = read_tail_csv(buf, total=m.total)
-    np.testing.assert_array_equal(back.grid, m.grid)
-    np.testing.assert_array_equal(back.tails, m.tails)
-    assert back.total == m.total

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from fluidq.distributions import Deterministic, Exponential, LogNormal, Uniform
+from fluidq.distributions import Deterministic, Exponential, HyperExponential, LogNormal, Uniform
 from fluidq.equilibrium import equilibrium_state
 from fluidq.fluid import (FluidConfig, InitialCondition, TabulatedProfile, solve,
                           validate_initial)
@@ -225,6 +227,47 @@ def test_equilibrium_start_keeps_the_scaled_queue_at_its_fluid_value(n):
     assert float(np.max(gap)) <= 0.05, gap
 
 
+# ---------------------------------------------------------------- stream
+
+def _residual_sum(measure):
+    """Exact sum of the residuals behind an empirical tail: grid value times count."""
+    counts = -np.diff(np.concatenate(([measure.total], measure.tails)))
+    return math.fsum(measure.grid * counts)
+
+
+def _pins(snaps):
+    return [((s.queue_size, s.virtual_size, s.busy_servers, s.abandoned, s.completed,
+              s.arrivals), _residual_sum(s.buffer_measure).hex(),
+             _residual_sum(s.server_measure).hex()) for s in snaps]
+
+
+def test_stream_is_pinned_for_an_equilibrium_start():
+    # pinned values: a change in the order or the arithmetic of any draw, seeding or
+    # per arrival, moves a count or a last bit here
+    patience, service = HyperExponential((0.4, 0.6), (0.5, 2.0)), LogNormal.from_mean_cv(1.0, 1.0)
+    _, init = _equilibrium_start(1.5, patience, service)
+    cfg = SimConfig(30, Exponential(30 * 1.5), patience, service, horizon=3.0,
+                    snapshot_times=(0.0, 1.0, 3.0), seed=17, replications=2, initial=init)
+    assert [_pins(rep) for rep in run_replications(cfg)] == [
+        [((10, 13, 30, 3, 0, 0), "0x1.53488149e776dp+2", "0x1.d1b4cb7d6d5bap+4"),
+         ((14, 21, 30, 22, 30, 53), "0x1.13e42698f810fp+3", "0x1.1bb01802e8be3p+5"),
+         ((10, 13, 30, 64, 88, 149), "0x1.caed9e8d79b15p+2", "0x1.219dfc56df62fp+5")],
+        [((12, 13, 30, 1, 0, 0), "0x1.7a26ecbe041e4p+3", "0x1.d1b4cb7d6d5bap+4"),
+         ((17, 22, 30, 21, 30, 55), "0x1.24588decf7a32p+4", "0x1.7ab4062dbae40p+4"),
+         ((8, 9, 30, 50, 95, 140), "0x1.1bbb2fab9a038p+3", "0x1.079346d9676aap+5")],
+    ]
+
+
+def test_stream_is_pinned_for_an_arrival_schedule():
+    patience, service = HyperExponential((0.4, 0.6), (0.5, 2.0)), LogNormal.from_mean_cv(1.0, 1.0)
+    cfg = SimConfig(3, Exponential(1.0), patience, service, horizon=6.0,
+                    snapshot_times=(2.0, 6.0), seed=5)
+    assert _pins(run(cfg, arrival_times=np.linspace(0.05, 5.9, 40))) == [
+        ((5, 5, 3, 1, 5, 14), "0x1.ec36d6d80d70cp+1", "0x1.c976fe3f14c23p+1"),
+        ((1, 1, 3, 15, 21, 40), "0x1.9942dbd5828a0p+0", "0x1.2d7c85bb16411p+2"),
+    ]
+
+
 # ---------------------------------------------------------------- comparison
 
 def test_compare_to_fluid_deterministic_rows():
@@ -235,10 +278,13 @@ def test_compare_to_fluid_deterministic_rows():
     probes = np.linspace(-4.0, 4.0, 65)
     cfg = _mmnm_config(10, snapshots=(2.0, 4.0), horizon=4.0, replications=2)
     scaled = [[fluid_scale(s, 10) for s in rep] for rep in run_replications(cfg)]
-    c1 = compare_to_fluid(scaled, sol, probes)
-    c2 = compare_to_fluid(scaled, sol, probes)
+    profiles = [sol.measures_at(t, probes) for t in (2.0, 4.0)]
+    c1 = compare_to_fluid(scaled, sol, probes, profiles)
+    c2 = compare_to_fluid(scaled, sol, probes, profiles)
     np.testing.assert_array_equal(c1.mean_buffer_dist, c2.mean_buffer_dist)
     assert c1.queue_gap_sup_by_rep.shape == (2,)
+    with pytest.raises(ValueError, match="one fluid profile per snapshot time"):
+        compare_to_fluid(scaled, sol, probes, profiles[:1])
 
 
 def test_compare_to_fluid_rejects_off_grid_snapshots():
@@ -247,8 +293,9 @@ def test_compare_to_fluid_rejects_off_grid_snapshots():
     sol = solve(fc)
     cfg = _mmnm_config(5, snapshots=(1.00037,), horizon=4.0)
     scaled = [[fluid_scale(s, 5) for s in run(cfg)]]
+    probes = np.linspace(-1.0, 1.0, 9)
     with pytest.raises(ValueError, match="grid"):
-        compare_to_fluid(scaled, sol, np.linspace(-1.0, 1.0, 9))
+        compare_to_fluid(scaled, sol, probes, [sol.measures_at(1.0, probes)])
 
 
 def test_compare_handles_atomic_distributions():
@@ -259,7 +306,8 @@ def test_compare_handles_atomic_distributions():
     cfg = SimConfig(1, Deterministic(1.0), Deterministic(10.0), Deterministic(0.5),
                     horizon=4.0, snapshot_times=(2.0, 4.0))
     scaled = [[fluid_scale(s, 1) for s in run(cfg)]]
-    comp = compare_to_fluid(scaled, sol, np.linspace(-4.0, 4.0, 65))
+    probes = np.linspace(-4.0, 4.0, 65)
+    comp = compare_to_fluid(scaled, sol, probes, [sol.measures_at(t, probes) for t in (2.0, 4.0)])
     assert np.all(np.isfinite(comp.mean_buffer_dist))
     assert np.all(np.isfinite(comp.mean_server_dist))
 
