@@ -197,8 +197,7 @@ def _fmt(value) -> str:
 def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 _SERVER_SHAPES = {"equilibrium-shaped": fluid.EquilibriumShaped,
@@ -243,13 +242,15 @@ def _fluid_model(cfg: RunConfig):
 def _run_fluid_solve(cfg: RunConfig, out: str) -> int:
     sol = fluid.solve(*_fluid_model(cfg))
     _write_csv(os.path.join(out, "trajectory.csv"), ["t", "X", "Q", "Z", "R", "B"],
-               zip(sol.times, sol.system, sol.queue, sol.busy, sol.virtual, sol.scheduled))
+               np.column_stack((sol.times, sol.system, sol.queue, sol.busy, sol.virtual,
+                                sol.scheduled)).tolist())
     probes = _probes(cfg)
     for t in cfg.get("profile_times", []):
         profiles = sol.measures_at(float(t), probes)
         _write_csv(os.path.join(out, f"profiles_t{t:g}.csv"),
                    ["x", "buffer_tail", "server_tail"],
-                   zip(probes, profiles.buffer.tail_at(probes), profiles.server.tail_at(probes)))
+                   np.column_stack((probes, profiles.buffer.tail_at(probes),
+                                    profiles.server.tail_at(probes))).tolist())
     return EXIT_OK
 
 
@@ -275,7 +276,8 @@ def _run_ode_check(cfg: RunConfig, out: str) -> int:
         raise ConfigError(EXIT_MODE_MISMATCH, f"invalid ode-check config: {exc}") from exc
     result = expode.cross_check(oc)
     _write_csv(os.path.join(out, "ode_check.csv"), ["t", "X_ode", "X_fluid", "diff"],
-               zip(result.times, result.ode, result.fluid, np.abs(result.fluid - result.ode)))
+               np.column_stack((result.times, result.ode, result.fluid,
+                                np.abs(result.fluid - result.ode))).tolist())
     print(f"sup_diff = {result.sup_diff:.6e}")
     return EXIT_OK
 

@@ -28,9 +28,11 @@ class DistributionError(ValueError):
 def bisect_increasing(func, y, lo, hi=None):
     """Where the nondecreasing func reaches y, entrywise in [lo, hi]: 80 vectorized halvings.
 
-    Without hi, the upper bracket doubles from 1 until func reaches every
-    target, and stops past 1e300, where the unreached targets get the bracket
-    end.  The package's one monotone inversion.
+    Returns the upper end of the last bracket, the smallest float with
+    func >= y to resolution; the bracket's midpoint can round to the float
+    below.  Without hi, the upper bracket doubles from 1 until func reaches
+    every target, and stops past 1e300, where the unreached targets get the
+    bracket end.  The package's one monotone inversion.
     """
     y = np.asarray(y, dtype=float)
     if hi is None:
@@ -42,7 +44,7 @@ def bisect_increasing(func, y, lo, hi=None):
         below = np.asarray(func(mid)) < y
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return hi
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ class InvariantViolationError(RuntimeError):
 
 
 _INNER_CAP = 50
+_PROFILE_CELLS = 1 << 20   # cells of one service.sf block in FluidSolution.measures_at
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,20 @@ def virtual_buffer_tail(arrival_rate: float, patience: DistributionSpec, virtual
     return TailMeasure(probes, np.maximum(buf, 0.0), virtual_mass, "linear")
 
 
+def _service_sf_sums(service: DistributionSpec, probes, lags, coeff):
+    """service.sf(probe + lag) @ coeff for each probe, in row blocks of the sf matrix.
+
+    A block holds about _PROFILE_CELLS cells, and its row count is a multiple
+    of 8 (at least 8): the BLAS matrix-vector kernel sums rows in groups.
+    Other row counts moved the last bit of some profile and compare cells
+    against the one-matrix product; multiples of 8 kept every output identical.
+    """
+    rows = max(8, _PROFILE_CELLS // lags.size // 8 * 8)
+    sums = [np.asarray(service.sf(probes[i : i + rows, None] + lags)) @ coeff
+            for i in range(0, probes.size, rows)]
+    return np.concatenate(sums) if sums else np.zeros(0)
+
+
 @dataclass(frozen=True)
 class FluidSolution:
     """Grid-indexed trajectories plus on-demand measure profiles."""
@@ -262,26 +277,31 @@ class FluidSolution:
         return k
 
     def measures_at(self, t: float, probes) -> MeasureProfiles:
-        """Materialize buffer and server tail measures at a grid time."""
+        """Materialize buffer and server tail measures at a grid time.
+
+        A server probe <= 0 reads the total busy mass.  The positive probes'
+        service.sf matrix is built in row blocks of at most _PROFILE_CELLS
+        cells, so the memory does not grow with the horizon.
+        """
         cfg = self.config
         lam = cfg.arrival_rate
         k = self.grid_index(t)
         probes = np.sort(np.asarray(probes, dtype=float))
+        positive = probes[probes > 0.0]
 
         # server: initial profile shifted by t plus the Stieltjes sum of
         # admitted fluid against the service complement (midpoint rule)
-        if k == 0:
-            started, started0 = 0.0, 0.0
-        else:
+        tails = np.asarray(self.initial.server_tail(cfg.service, positive + t))
+        started0 = 0.0
+        if k > 0:
             mids = 0.5 * (self.times[:k] + self.times[1 : k + 1])
             waits_mid = 0.5 * (self.virtual[:k] + self.virtual[1 : k + 1]) / lam
             coeff = np.asarray(cfg.patience.sf(waits_mid)) * np.diff(self.scheduled[: k + 1])
-            args = np.maximum(probes, 0.0)[:, None] + (t - mids)[None, :]
-            started = np.asarray(cfg.service.sf(args)) @ coeff
-            started0 = float(np.asarray(cfg.service.sf(t - mids)) @ coeff)
+            lags = t - mids
+            tails = tails + _service_sf_sums(cfg.service, positive, lags, coeff)
+            started0 = float(np.asarray(cfg.service.sf(lags)) @ coeff)
         total = float(self.initial.server_tail(cfg.service, np.asarray(t))) + started0
-        tails = np.asarray(self.initial.server_tail(cfg.service, np.maximum(probes, 0.0) + t))
-        tails = np.where(probes <= 0.0, total, tails + started)
+        tails = np.concatenate((np.full(probes.size - positive.size, total), tails))
         tails = np.minimum.accumulate(np.minimum(np.maximum(tails, 0.0), total))
         return MeasureProfiles(
             buffer=virtual_buffer_tail(lam, cfg.patience, self.virtual[k], probes),

@@ -32,6 +32,15 @@ def test_offered_wait_bracket_degenerate_for_strictly_increasing_cdf():
     assert lo <= ow.wait <= hi + 1e-12
 
 
+def test_offered_wait_is_the_smallest_float_reaching_the_target():
+    # uniform(0, 2) patience at rho = 1.5: the last bracket's midpoint was the float below
+    patience = Uniform(0.0, 2.0)
+    target = (1.5 - 1.0) / 1.5
+    w = solve_offered_wait(1.5, patience, Exponential(1.0)).wait
+    assert patience.cdf(w) >= target
+    assert patience.cdf(np.nextafter(w, 0.0)) < target
+
+
 def test_offered_wait_bounded_patience_support():
     # rho = 2 with Uniform(0,2) patience: F(w) = w/2 = 1/2 -> w = 1
     ow = solve_offered_wait(2.0, Uniform(0.0, 2.0), Exponential(1.0))

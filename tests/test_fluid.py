@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fluidq import fluid
 from fluidq.distributions import Exponential, HyperExponential, LogNormal, Uniform
 from fluidq.equilibrium import equilibrium_state
 from fluidq.fluid import (
@@ -293,6 +295,70 @@ def test_measures_at_buffer_against_quadrature_oracle():
         assert profiles.buffer.tail_at(x) == pytest.approx(float(oracle), abs=1e-9)
     # beyond the patience support the whole virtual buffer is counted
     assert profiles.buffer.tail_at(-2.5) == pytest.approx(sol.virtual[sol.grid_index(t)], abs=1e-12)
+
+
+def _one_matrix_server_tails(sol, t, probes):
+    """Server tails at t from one service.sf matrix over every probe."""
+    cfg, k = sol.config, sol.grid_index(t)
+    mids = 0.5 * (sol.times[:k] + sol.times[1 : k + 1])
+    waits = 0.5 * (sol.virtual[:k] + sol.virtual[1 : k + 1]) / cfg.arrival_rate
+    coeff = cfg.patience.sf(waits) * np.diff(sol.scheduled[: k + 1])
+    total = sol.initial.server_tail(cfg.service, t) + cfg.service.sf(t - mids) @ coeff
+    tails = (sol.initial.server_tail(cfg.service, np.maximum(probes, 0.0) + t)
+             + cfg.service.sf(np.maximum(probes, 0.0)[:, None] + (t - mids)) @ coeff)
+    tails = np.where(probes <= 0.0, total, np.clip(tails, 0.0, total))
+    return np.minimum.accumulate(tails)
+
+
+def _record_sf_matrix_rows(monkeypatch, law):
+    """Row counts of the 2-d arrays passed to law.sf from now on."""
+    rows, sf = [], law.sf
+
+    def recording_sf(self, x):
+        if np.ndim(x) == 2:
+            rows.append(np.shape(x)[0])
+        return sf(self, x)
+
+    monkeypatch.setattr(law, "sf", recording_sf)
+    return rows
+
+
+def test_measures_at_memory_does_not_grow_with_the_horizon():
+    sol = solve(_cfg(1.5, Exponential(1.0), Exponential(1.0), horizon=30.0))
+    tracemalloc.start()
+    try:
+        sol.measures_at(30.0, np.linspace(-30.0, 30.0, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def test_measures_at_row_blocks_match_one_matrix(monkeypatch):
+    sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
+    probes = np.linspace(-1.0, 3.0, 41)  # 30 positive probes
+    reference = _one_matrix_server_tails(sol, 2.0, probes)
+    monkeypatch.setattr(fluid, "_PROFILE_CELLS", 1)  # the smallest blocks: 8 rows
+    rows = _record_sf_matrix_rows(monkeypatch, LogNormal)
+    server = sol.measures_at(2.0, probes).server
+    assert rows == [8, 8, 8, 6]
+    assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
+
+
+@pytest.mark.parametrize("probes", [np.linspace(-2.0, 0.0, 9), np.linspace(0.25, 2.0, 8),
+                                    np.linspace(-2.0, 2.0, 17)],
+                         ids=["nonpositive", "positive", "mixed"])
+def test_measures_at_server_probe_sets(probes, monkeypatch):
+    lam, patience, service = 1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0)
+    state = equilibrium_state(lam, patience, service)
+    sol = solve(_cfg(lam, patience, service, horizon=1.0), state.initial_condition())
+    reference = _one_matrix_server_tails(sol, 1.0, probes)
+    rows = _record_sf_matrix_rows(monkeypatch, LogNormal)
+    server = sol.measures_at(1.0, probes).server
+    positive = int(np.sum(probes > 0.0))
+    assert rows == ([positive] if positive else [])  # no row for a probe <= 0
+    assert np.all(server.tails[probes <= 0.0] == server.total)
+    assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
 
 
 def test_measures_at_rejects_off_grid_times():

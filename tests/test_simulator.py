@@ -249,13 +249,21 @@ def test_stream_is_pinned_for_an_equilibrium_start():
     cfg = SimConfig(30, Exponential(30 * 1.5), patience, service, horizon=3.0,
                     snapshot_times=(0.0, 1.0, 3.0), seed=17, replications=2, initial=init)
     assert [_pins(rep) for rep in run_replications(cfg)] == [
-        [((10, 13, 30, 3, 0, 0), "0x1.53488149e776dp+2", "0x1.d1b4cb7d6d5bap+4"),
-         ((14, 21, 30, 22, 30, 53), "0x1.13e42698f810fp+3", "0x1.1bb01802e8be3p+5"),
-         ((10, 13, 30, 64, 88, 149), "0x1.caed9e8d79b15p+2", "0x1.219dfc56df62fp+5")],
-        [((12, 13, 30, 1, 0, 0), "0x1.7a26ecbe041e4p+3", "0x1.d1b4cb7d6d5bap+4"),
-         ((17, 22, 30, 21, 30, 55), "0x1.24588decf7a32p+4", "0x1.7ab4062dbae40p+4"),
-         ((8, 9, 30, 50, 95, 140), "0x1.1bbb2fab9a038p+3", "0x1.079346d9676aap+5")],
+        [((10, 13, 30, 3, 0, 0), "0x1.53488149e776dp+2", "0x1.d1b4cb7d6d5bbp+4"),
+         ((14, 21, 30, 22, 30, 53), "0x1.13e42698f8110p+3", "0x1.1bb01802e8be4p+5"),
+         ((10, 13, 30, 64, 88, 149), "0x1.caed9e8d79b16p+2", "0x1.219dfc56df62fp+5")],
+        [((12, 13, 30, 1, 0, 0), "0x1.7a26ecbe041e5p+3", "0x1.d1b4cb7d6d5bbp+4"),
+         ((17, 22, 30, 21, 30, 55), "0x1.24588decf7a32p+4", "0x1.7ab4062dbae41p+4"),
+         ((8, 9, 30, 50, 95, 140), "0x1.1bbb2fab9a039p+3", "0x1.079346d9676aap+5")],
     ]
+
+
+def test_equilibrium_start_seeds_the_exact_buffer_count():
+    # n R_inf = 30 in exact arithmetic; a root one float low seeded 29
+    _, init = _equilibrium_start(1.5, Uniform(0.0, 2.0), Exponential(1.0))
+    cfg = SimConfig(30, Exponential(30 * 1.5), Uniform(0.0, 2.0), Exponential(1.0),
+                    horizon=1.0, snapshot_times=(0.0,), initial=init)
+    assert run(cfg)[0].initial_virtual == 30
 
 
 def test_stream_is_pinned_for_an_arrival_schedule():
@@ -263,7 +271,7 @@ def test_stream_is_pinned_for_an_arrival_schedule():
     cfg = SimConfig(3, Exponential(1.0), patience, service, horizon=6.0,
                     snapshot_times=(2.0, 6.0), seed=5)
     assert _pins(run(cfg, arrival_times=np.linspace(0.05, 5.9, 40))) == [
-        ((5, 5, 3, 1, 5, 14), "0x1.ec36d6d80d70cp+1", "0x1.c976fe3f14c23p+1"),
+        ((5, 5, 3, 1, 5, 14), "0x1.ec36d6d80d70ep+1", "0x1.c976fe3f14c23p+1"),
         ((1, 1, 3, 15, 21, 40), "0x1.9942dbd5828a0p+0", "0x1.2d7c85bb16411p+2"),
     ]
 
