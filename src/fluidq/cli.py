@@ -245,8 +245,8 @@ def _run_fluid_solve(cfg: RunConfig, out: str) -> int:
                np.column_stack((sol.times, sol.system, sol.queue, sol.busy, sol.virtual,
                                 sol.scheduled)).tolist())
     probes = _probes(cfg)
-    for t in cfg.get("profile_times", []):
-        profiles = sol.measures_at(float(t), probes)
+    times = [float(t) for t in cfg.get("profile_times", [])]
+    for t, profiles in zip(times, sol.profiles(times, probes)):
         _write_csv(os.path.join(out, f"profiles_t{t:g}.csv"),
                    ["x", "buffer_tail", "server_tail"],
                    np.column_stack((probes, profiles.buffer.tail_at(probes),
@@ -330,7 +330,7 @@ def _run_compare(cfg: RunConfig, out: str) -> int:
     fc, init = _fluid_model(cfg)
     sol = fluid.solve(fc, init)
     sims = list(_sim_configs(cfg, fc, init))  # validated before the profiles are built
-    profiles = [sol.measures_at(t, probes) for t in _snapshot_times(cfg)]
+    profiles = sol.profiles(_snapshot_times(cfg), probes)
     rows = []
     summaries = []
     for n, sim_cfg in sims:

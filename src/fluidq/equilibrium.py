@@ -59,14 +59,6 @@ class EquilibriumState:
         }
 
 
-def initial_condition_from_json(doc: dict) -> InitialCondition:
-    """Rebuild the fluid-matched initial condition from an emitted equilibrium JSON."""
-    return InitialCondition(
-        virtual_buffer_mass=float(doc["R_inf"]),
-        server_profile=EquilibriumShaped(float(doc["Z_inf"])),
-    )
-
-
 def solve_offered_wait(arrival_rate: float, patience: DistributionSpec,
                        service: DistributionSpec) -> OfferedWait:
     """Solve the patience CDF for the overload fraction.

@@ -40,7 +40,7 @@ class InvariantViolationError(RuntimeError):
 
 
 _INNER_CAP = 50
-_PROFILE_CELLS = 1 << 20   # cells of one service.sf block in FluidSolution.measures_at
+_PROFILE_CELLS = 1 << 20   # cells of one service.sf block in FluidSolution.profiles
 
 
 @dataclass(frozen=True)
@@ -241,20 +241,6 @@ def virtual_buffer_tail(arrival_rate: float, patience: DistributionSpec, virtual
     return TailMeasure(probes, np.maximum(buf, 0.0), virtual_mass, "linear")
 
 
-def _service_sf_sums(service: DistributionSpec, probes, lags, coeff):
-    """service.sf(probe + lag) @ coeff for each probe, in row blocks of the sf matrix.
-
-    A block holds about _PROFILE_CELLS cells, and its row count is a multiple
-    of 8 (at least 8): the BLAS matrix-vector kernel sums rows in groups.
-    Other row counts moved the last bit of some profile and compare cells
-    against the one-matrix product; multiples of 8 kept every output identical.
-    """
-    rows = max(8, _PROFILE_CELLS // lags.size // 8 * 8)
-    sums = [np.asarray(service.sf(probes[i : i + rows, None] + lags)) @ coeff
-            for i in range(0, probes.size, rows)]
-    return np.concatenate(sums) if sums else np.zeros(0)
-
-
 @dataclass(frozen=True)
 class FluidSolution:
     """Grid-indexed trajectories plus on-demand measure profiles."""
@@ -277,36 +263,54 @@ class FluidSolution:
         return k
 
     def measures_at(self, t: float, probes) -> MeasureProfiles:
-        """Materialize buffer and server tail measures at a grid time.
+        """Materialize buffer and server tail measures at a grid time."""
+        return self.profiles([t], probes)[0]
 
-        A server probe <= 0 reads the total busy mass.  The positive probes'
-        service.sf matrix is built in row blocks of at most _PROFILE_CELLS
-        cells, so the memory does not grow with the horizon.
+    def profiles(self, times, probes) -> list[MeasureProfiles]:
+        """Buffer and server tail measures at each grid time, in the order given.
+
+        The server tail at t_k is the initial profile shifted by t_k plus the
+        Stieltjes sum of admitted fluid against the service complement
+        (midpoint rule), sum_j coeff_j service.sf(x + (k - 1 - j + 1/2) dt),
+        where coeff_j does not depend on k.  So one table of
+        service.sf(x + (m + 1/2) dt), m < max k, serves every time: stored
+        with m descending, time k reads its last k columns, which line up
+        with coeff_0 .. coeff_{k-1}.  The table is built only for probes > 0
+        (a probe <= 0 reads the total busy mass) and in row blocks of about
+        _PROFILE_CELLS cells, so the memory does not grow with the horizon.
+        A block's row count is a multiple of 8 (at least 8): the BLAS
+        matrix-vector kernel sums rows in groups, and other row counts move
+        the last bit of some tails.
         """
         cfg = self.config
         lam = cfg.arrival_rate
-        k = self.grid_index(t)
+        ks = [self.grid_index(t) for t in times]
         probes = np.sort(np.asarray(probes, dtype=float))
         positive = probes[probes > 0.0]
-
-        # server: initial profile shifted by t plus the Stieltjes sum of
-        # admitted fluid against the service complement (midpoint rule)
-        tails = np.asarray(self.initial.server_tail(cfg.service, positive + t))
-        started0 = 0.0
-        if k > 0:
-            mids = 0.5 * (self.times[:k] + self.times[1 : k + 1])
-            waits_mid = 0.5 * (self.virtual[:k] + self.virtual[1 : k + 1]) / lam
-            coeff = np.asarray(cfg.patience.sf(waits_mid)) * np.diff(self.scheduled[: k + 1])
-            lags = t - mids
-            tails = tails + _service_sf_sums(cfg.service, positive, lags, coeff)
-            started0 = float(np.asarray(cfg.service.sf(lags)) @ coeff)
-        total = float(self.initial.server_tail(cfg.service, np.asarray(t))) + started0
-        tails = np.concatenate((np.full(probes.size - positive.size, total), tails))
-        tails = np.minimum.accumulate(np.minimum(np.maximum(tails, 0.0), total))
-        return MeasureProfiles(
-            buffer=virtual_buffer_tail(lam, cfg.patience, self.virtual[k], probes),
-            server=TailMeasure(probes, tails, total, "linear"),
-        )
+        kmax = max(ks, default=0)
+        waits_mid = 0.5 * (self.virtual[:kmax] + self.virtual[1 : kmax + 1]) / lam
+        coeff = np.asarray(cfg.patience.sf(waits_mid)) * np.diff(self.scheduled[: kmax + 1])
+        lags = (np.arange(kmax - 1, -1, -1) + 0.5) * cfg.dt
+        started = np.zeros((len(ks), positive.size))
+        rows = max(8, _PROFILE_CELLS // max(kmax, 1) // 8 * 8)
+        for i in range(0, positive.size if kmax else 0, rows):
+            table = np.asarray(cfg.service.sf(positive[i : i + rows, None] + lags))
+            for c, k in enumerate(ks):
+                started[c, i : i + rows] = table[:, kmax - k :] @ coeff[:k]
+            del table  # freed before the next block is built
+        sf_lags = np.asarray(cfg.service.sf(lags))
+        out = []
+        for t, k, sums in zip(times, ks, started):
+            tails = np.asarray(self.initial.server_tail(cfg.service, positive + t)) + sums
+            total = (float(self.initial.server_tail(cfg.service, np.asarray(t)))
+                     + float(sf_lags[kmax - k :] @ coeff[:k]))
+            tails = np.concatenate((np.full(probes.size - positive.size, total), tails))
+            tails = np.minimum.accumulate(np.minimum(np.maximum(tails, 0.0), total))
+            out.append(MeasureProfiles(
+                buffer=virtual_buffer_tail(lam, cfg.patience, self.virtual[k], probes),
+                server=TailMeasure(probes, tails, total, "linear"),
+            ))
+        return out
 
 
 # -- solver ---------------------------------------------------------------------
@@ -323,8 +327,7 @@ def _reversed_increments(cfg: FluidConfig, times: np.ndarray):
     return np.ascontiguousarray(np.diff(ge)[::-1]), np.ascontiguousarray(np.diff(g)[::-1])
 
 
-def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = None,
-          *, inner_start_offset: float = 0.0) -> FluidSolution:
+def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = None) -> FluidSolution:
     """March the fluid fixed-point equation over the grid.
 
     Each step solves for the offered wait w, from which the queue
@@ -340,7 +343,6 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     w, started from the linear extrapolation of the last two waits, runs
     until |g| <= cfg.tol, falling back to bisection (or to doubling while no
     upper bound is known) when a step leaves the bracket or g' vanishes.
-    inner_start_offset shifts that start, to test that the root is unique.
 
     Raises DistributionError if the service law has atoms or the patience
     law neither a Lipschitz CDF nor a bounded hazard, NoConvergenceError if
@@ -390,7 +392,7 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
             wait[k] = 0.0
             continue
         lo, hi = 0.0, math.inf
-        w = 2.0 * wait[k - 1] - wait[max(k - 2, 0)] + inner_start_offset
+        w = 2.0 * wait[k - 1] - wait[max(k - 2, 0)]
         if not w > lo:  # one Newton step from w = 0, where g is already known
             w = -g0 / slope0 if slope0 > 0.0 else cfg.dt
         for _ in range(_INNER_CAP):

@@ -277,7 +277,7 @@ def compare_to_fluid(scaled_reps: list[list[SystemSnapshot]], sol: FluidSolution
                      probes, profiles: list[MeasureProfiles]) -> FluidComparison:
     """Distances per snapshot time, aggregated over replications.
 
-    profiles holds sol.measures_at(t, probes) for each snapshot time t, in order;
+    profiles is sol.profiles(times, probes) for the snapshot times, in order;
     they depend on neither n nor the replication, so callers build them once.
     Snapshot times must lie on the fluid grid; a mismatch raises.
     """

@@ -72,9 +72,8 @@ def test_criterion_2_equilibrium_invariance():
                           horizon=10.0, dt=1e-3)
         sol = solve(cfg, state.initial_condition())
         worst_drift = max(worst_drift, float(np.max(np.abs(sol.system - sol.system[0]))))
-        initial = sol.measures_at(0.0, probes)  # the equilibrium start state
-        for t in (1.0, 5.0, 10.0):
-            profiles = sol.measures_at(t, probes)
+        initial, *later = sol.profiles([0.0, 1.0, 5.0, 10.0], probes)  # t = 0: the start state
+        for profiles in later:
             worst_profile = max(
                 worst_profile,
                 sup_distance(profiles.buffer, initial.buffer, probes),
@@ -130,7 +129,7 @@ def _convergence_trend(service, seed):
     cfg = FluidConfig(arrival_rate=lam, patience=Exponential(alpha), service=service,
                       horizon=10.0, dt=1e-3)
     sol = solve(cfg)
-    profiles = [sol.measures_at(t, probes) for t in snapshot_times]
+    profiles = sol.profiles(snapshot_times, probes)
     mean_sup_q, final_z = [], {}
     for n in (25, 100, 400):
         sim_cfg = SimConfig(

@@ -6,8 +6,8 @@ import pytest
 
 from fluidq import cli, simulator
 from fluidq.distributions import Exponential
-from fluidq.equilibrium import equilibrium_state, initial_condition_from_json
-from fluidq.fluid import FluidConfig, solve
+from fluidq.equilibrium import equilibrium_state
+from fluidq.fluid import EquilibriumShaped, FluidConfig, InitialCondition, solve
 
 EXP = {"family": "exponential", "rate": 1.0}
 
@@ -216,7 +216,9 @@ def test_equilibrium_json_round_trips_into_invariant_fluid_run(tmp_path):
                                     "patience": EXP, "service": EXP})
     assert cli.main(["--config", path, "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "equilibrium.json").read_text())
-    init = initial_condition_from_json(doc)
+    assert set(doc) == {"w", "w_bracket", "Q_inf", "Z_inf", "R_inf",
+                        "abandonment_fraction", "rho"}
+    init = InitialCondition(float(doc["R_inf"]), EquilibriumShaped(float(doc["Z_inf"])))
     cfg = FluidConfig(arrival_rate=1.2, patience=Exponential(1.0), service=Exponential(1.0),
                       horizon=5.0, dt=1e-3)
     sol = solve(cfg, init)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fluidq.distributions import Exponential, HyperExponential, LogNormal, Uniform
-from fluidq.equilibrium import equilibrium_state, initial_condition_from_json, solve_offered_wait
+from fluidq.equilibrium import equilibrium_state, solve_offered_wait
 from fluidq.fluid import EquilibriumShaped, FluidConfig, solve, virtual_buffer_tail
 
 PROBES = np.linspace(-6.0, 10.0, 257)
@@ -104,13 +104,3 @@ def test_equilibrium_feeds_back_into_fluid_solver():
     cfg = FluidConfig(arrival_rate=lam, patience=patience, service=service, horizon=10.0, dt=1e-3)
     sol = solve(cfg, state.initial_condition())
     assert float(np.max(np.abs(sol.system - sol.system[0]))) <= 1e-3
-
-
-def test_json_round_trip_rebuilds_initial_condition():
-    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0))
-    doc = state.to_json_dict()
-    assert set(doc) == {"w", "w_bracket", "Q_inf", "Z_inf", "R_inf",
-                        "abandonment_fraction", "rho"}
-    init = initial_condition_from_json(doc)
-    assert init.virtual_buffer_mass == state.virtual_mass
-    assert init.server_profile.busy_mass == state.busy_mass

@@ -177,11 +177,18 @@ def test_solve_structural_invariants():
         assert float(np.max(sol.queue)) <= lam * tail_area + 1e-9
 
 
-def test_solve_uniqueness_under_inner_start_perturbation():
+def test_solve_step_equation_has_a_unique_root():
+    # g(w) = a F_d(w) - b sf(w) + (1 - base), and base does not depend on w: a
+    # strictly increasing g has one root, so the accepted |g| <= tol pins it
     cfg = _cfg(2.0, Exponential(2.0), Exponential(1.0), horizon=3.0)
-    a = solve(cfg)
-    b = solve(cfg, inner_start_offset=0.5)
-    assert float(np.max(np.abs(a.system - b.system))) <= 1e-8
+    sol = solve(cfg)
+    rev_ge, rev_g = fluid._reversed_increments(cfg, sol.times)
+    a = cfg.arrival_rate * (1.0 - rev_g[-1])
+    b = cfg.traffic_intensity * rev_ge[-1]
+    w = np.linspace(0.0, 2.0 * float(np.max(sol.virtual)) / cfg.arrival_rate, 1001)
+    g = a * np.asarray(cfg.patience.integrated_sf(w)) - b * np.asarray(cfg.patience.sf(w))
+    assert np.all(np.diff(g) > 0.0)
+    assert sol.inner_iterations > 0 and sol.max_step_residual <= cfg.tol
 
 
 def test_fixed_point_residual_within_tolerance():
@@ -310,28 +317,31 @@ def _one_matrix_server_tails(sol, t, probes):
     return np.minimum.accumulate(tails)
 
 
-def _record_sf_matrix_rows(monkeypatch, law):
-    """Row counts of the 2-d arrays passed to law.sf from now on."""
-    rows, sf = [], law.sf
+def _record_sf_matrices(monkeypatch, law):
+    """Shapes of the 2-d arrays passed to law.sf from now on."""
+    shapes, sf = [], law.sf
 
     def recording_sf(self, x):
         if np.ndim(x) == 2:
-            rows.append(np.shape(x)[0])
+            shapes.append(np.shape(x))
         return sf(self, x)
 
     monkeypatch.setattr(law, "sf", recording_sf)
-    return rows
+    return shapes
 
 
 def test_measures_at_memory_does_not_grow_with_the_horizon():
     sol = solve(_cfg(1.5, Exponential(1.0), Exponential(1.0), horizon=30.0))
-    tracemalloc.start()
-    try:
-        sol.measures_at(30.0, np.linspace(-30.0, 30.0, 512))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2**20, f"{peak / 2**20:.1f} MB"
+    probes = np.linspace(-30.0, 30.0, 512)
+    for build in (lambda: sol.measures_at(30.0, probes),
+                  lambda: sol.profiles([15.0, 30.0], probes)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def test_measures_at_row_blocks_match_one_matrix(monkeypatch):
@@ -339,9 +349,9 @@ def test_measures_at_row_blocks_match_one_matrix(monkeypatch):
     probes = np.linspace(-1.0, 3.0, 41)  # 30 positive probes
     reference = _one_matrix_server_tails(sol, 2.0, probes)
     monkeypatch.setattr(fluid, "_PROFILE_CELLS", 1)  # the smallest blocks: 8 rows
-    rows = _record_sf_matrix_rows(monkeypatch, LogNormal)
+    shapes = _record_sf_matrices(monkeypatch, LogNormal)
     server = sol.measures_at(2.0, probes).server
-    assert rows == [8, 8, 8, 6]
+    assert shapes == [(8, 2000), (8, 2000), (8, 2000), (6, 2000)]
     assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
 
 
@@ -353,10 +363,10 @@ def test_measures_at_server_probe_sets(probes, monkeypatch):
     state = equilibrium_state(lam, patience, service)
     sol = solve(_cfg(lam, patience, service, horizon=1.0), state.initial_condition())
     reference = _one_matrix_server_tails(sol, 1.0, probes)
-    rows = _record_sf_matrix_rows(monkeypatch, LogNormal)
+    shapes = _record_sf_matrices(monkeypatch, LogNormal)
     server = sol.measures_at(1.0, probes).server
     positive = int(np.sum(probes > 0.0))
-    assert rows == ([positive] if positive else [])  # no row for a probe <= 0
+    assert shapes == ([(positive, 1000)] if positive else [])  # no row for a probe <= 0
     assert np.all(server.tails[probes <= 0.0] == server.total)
     assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
 
@@ -365,6 +375,43 @@ def test_measures_at_rejects_off_grid_times():
     sol = solve(_cfg(1.0, Exponential(1.0), Exponential(1.0), horizon=1.0))
     with pytest.raises(ValueError, match="grid"):
         sol.measures_at(0.00037, np.linspace(-1.0, 1.0, 9))
+
+
+@pytest.mark.parametrize("service", [Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0)],
+                         ids=["exp", "lognormal"])
+@pytest.mark.parametrize("start", ["empty", "equilibrium"])
+def test_profiles_match_one_matrix_at_every_time(service, start):
+    lam, patience = 1.5, Exponential(1.0)
+    init = (equilibrium_state(lam, patience, service).initial_condition()
+            if start == "equilibrium" else None)
+    sol = solve(_cfg(lam, patience, service, horizon=2.0), init)
+    probes = np.linspace(-1.0, 3.0, 41)
+    times = [1.5, 0.0, 2.0, 0.5, 1.5]  # unsorted, duplicated, with t = 0
+    batch = sol.profiles(times, probes)
+    assert len(batch) == len(times)
+    for t, profiles in zip(times, batch):
+        reference = _one_matrix_server_tails(sol, t, probes)
+        assert float(np.max(np.abs(profiles.server.tails - reference))) <= 1e-15
+        assert abs(profiles.server.total - reference[0]) <= 1e-15  # probe -1 reads the total
+        assert profiles.buffer.total == sol.virtual[sol.grid_index(t)]
+
+
+def test_profiles_build_one_sf_table_for_a_batch(monkeypatch):
+    sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
+    probes = np.linspace(-1.0, 3.0, 41)  # 30 positive probes
+    times = np.round(np.arange(1, 11) * 0.2, 3)  # k = 200, 400, ..., 2000
+    shapes = _record_sf_matrices(monkeypatch, LogNormal)
+    sol.profiles(times, probes)
+    assert shapes == [(30, 2000)]  # 30 x k_max cells, not 30 x sum(k) = 30 x 11000
+
+
+@pytest.mark.parametrize("times", [[0.00037, 0.5], [0.5, 1.0, 0.00037]], ids=["first", "last"])
+def test_profiles_reject_an_off_grid_time_before_any_sf_matrix(times, monkeypatch):
+    sol = solve(_cfg(1.0, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=1.0))
+    shapes = _record_sf_matrices(monkeypatch, LogNormal)
+    with pytest.raises(ValueError, match="grid"):
+        sol.profiles(times, np.linspace(-1.0, 1.0, 9))
+    assert shapes == []
 
 
 # ---------------------------------------------------------------- drain monotonicity

@@ -286,7 +286,7 @@ def test_compare_to_fluid_deterministic_rows():
     probes = np.linspace(-4.0, 4.0, 65)
     cfg = _mmnm_config(10, snapshots=(2.0, 4.0), horizon=4.0, replications=2)
     scaled = [[fluid_scale(s, 10) for s in rep] for rep in run_replications(cfg)]
-    profiles = [sol.measures_at(t, probes) for t in (2.0, 4.0)]
+    profiles = sol.profiles([2.0, 4.0], probes)
     c1 = compare_to_fluid(scaled, sol, probes, profiles)
     c2 = compare_to_fluid(scaled, sol, probes, profiles)
     np.testing.assert_array_equal(c1.mean_buffer_dist, c2.mean_buffer_dist)
@@ -303,7 +303,7 @@ def test_compare_to_fluid_rejects_off_grid_snapshots():
     scaled = [[fluid_scale(s, 5) for s in run(cfg)]]
     probes = np.linspace(-1.0, 1.0, 9)
     with pytest.raises(ValueError, match="grid"):
-        compare_to_fluid(scaled, sol, probes, [sol.measures_at(1.0, probes)])
+        compare_to_fluid(scaled, sol, probes, sol.profiles([1.0], probes))
 
 
 def test_compare_handles_atomic_distributions():
@@ -315,7 +315,7 @@ def test_compare_handles_atomic_distributions():
                     horizon=4.0, snapshot_times=(2.0, 4.0))
     scaled = [[fluid_scale(s, 1) for s in run(cfg)]]
     probes = np.linspace(-4.0, 4.0, 65)
-    comp = compare_to_fluid(scaled, sol, probes, [sol.measures_at(t, probes) for t in (2.0, 4.0)])
+    comp = compare_to_fluid(scaled, sol, probes, sol.profiles([2.0, 4.0], probes))
     assert np.all(np.isfinite(comp.mean_buffer_dist))
     assert np.all(np.isfinite(comp.mean_server_dist))
 
