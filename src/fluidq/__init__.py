@@ -10,7 +10,7 @@ from .distributions import (
     Uniform,
     distribution_from_dict,
 )
-from .equilibrium import EquilibriumState, equilibrium_state, solve_offered_wait
+from .equilibrium import EquilibriumState, equilibrium_state
 from .expode import ExpOdeConfig, cross_check, drift, integrate
 from .fluid import (
     EMPTY_SERVERS,

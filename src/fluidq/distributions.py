@@ -6,10 +6,10 @@ distribution, and deterministic inverse-CDF sampling.  All of the solver's
 distributional inputs flow through this module.
 
 Conventions:
-  * support_end is the supremum of the support (math.inf when unbounded);
-  * integrated_sf_total is int_0^inf sf(y) dy, which equals the mean for
-    nonnegative lifetimes and is allowed to be math.inf;
-  * +inf is a first-class sentinel: consumers must branch on it.
+  * mean is the tail area int_0^inf sf(y) dy (the two agree for nonnegative
+    lifetimes) and is finite for every family here;
+  * support_end is the supremum of the support, math.inf when unbounded:
+    +inf is a first-class sentinel, and consumers must branch on it.
 """
 
 from __future__ import annotations
@@ -47,25 +47,6 @@ def bisect_increasing(func, y, lo, hi=None):
     return hi
 
 
-@dataclass(frozen=True)
-class DistStats:
-    """Summary constants consumed by the fluid solver and validators."""
-
-    mean: float
-    support_end: float          # sup{x : F(x) < 1}, inf when unbounded
-    integrated_sf_total: float  # int_0^inf sf(y) dy, inf allowed
-    lipschitz_bound: float      # Lipschitz constant of the CDF, inf if none
-    hazard_bound: float         # sup of the hazard rate, inf if unbounded
-
-    @property
-    def is_lipschitz(self) -> bool:
-        return math.isfinite(self.lipschitz_bound)
-
-    @property
-    def has_bounded_hazard(self) -> bool:
-        return math.isfinite(self.hazard_bound)
-
-
 def _maybe_scalar(x):
     """Return a python float for 0-d results, the array otherwise."""
     arr = np.asarray(x)
@@ -77,6 +58,8 @@ class DistributionSpec:
 
     #: True when the CDF has a jump (only the Deterministic family here).
     has_atoms = False
+    #: sup{x : F(x) < 1}; Deterministic and Uniform override the unbounded default.
+    support_end = math.inf
 
     # -- core functions -------------------------------------------------
 
@@ -98,9 +81,7 @@ class DistributionSpec:
 
     @property
     def mean(self) -> float:
-        return self.stats().mean
-
-    def stats(self) -> DistStats:
+        """E[lifetime], which is also the tail area int_0^inf sf(y) dy."""
         raise NotImplementedError
 
     # -- derived objects -------------------------------------------------
@@ -111,12 +92,11 @@ class DistributionSpec:
 
     def integrated_sf_inverse(self, y):
         """Inverse of integrated_sf, entrywise: 0 for y <= 0, support_end (which may
-        be the +inf sentinel) for y >= integrated_sf_total, bisection between."""
-        st = self.stats()
+        be the +inf sentinel) for y >= mean, the tail area, bisection between."""
         y = np.asarray(y, dtype=float)
-        inside = (y > 0.0) & (y < st.integrated_sf_total)
+        inside = (y > 0.0) & (y < self.mean)
         x = bisect_increasing(self.integrated_sf, np.where(inside, y, 0.0), 0.0)
-        return _maybe_scalar(np.where(inside, x, np.where(y <= 0.0, 0.0, st.support_end)))
+        return _maybe_scalar(np.where(inside, x, np.where(y <= 0.0, 0.0, self.support_end)))
 
     def equilibrium_cdf(self, x):
         """Stationary-excess distribution: integrated_sf(x) / mean."""
@@ -146,20 +126,18 @@ class DistributionSpec:
             raise DistributionError("invalid service distribution: mean must be positive and finite")
 
     def validate_as_patience(self) -> None:
-        """Patience distributions need a Lipschitz CDF or a bounded hazard rate."""
-        st = self.stats()
-        if not (st.is_lipschitz or st.has_bounded_hazard):
+        """Patience distributions need a Lipschitz CDF or a bounded hazard rate.
+
+        A jump is the only way a law here has neither: every atomless family has
+        a bounded density, so its CDF is Lipschitz, and has_atoms decides it.
+        """
+        if self.has_atoms:
             raise DistributionError(
                 "invalid patience distribution: CDF is neither Lipschitz nor of bounded hazard"
             )
 
     def time_scaled(self, factor: float) -> "DistributionSpec":
         """The law of factor * lifetime (used to scale interarrival times by 1/n)."""
-        raise NotImplementedError
-
-    # -- config literals --------------------------------------------------
-
-    def to_dict(self) -> dict:
         raise NotImplementedError
 
 
@@ -191,20 +169,12 @@ class Exponential(DistributionSpec):
         x = np.asarray(x, dtype=float)
         return _maybe_scalar(-np.expm1(-self.rate * np.maximum(x, 0.0)) / self.rate)
 
-    def stats(self) -> DistStats:
-        return DistStats(
-            mean=1.0 / self.rate,
-            support_end=math.inf,
-            integrated_sf_total=1.0 / self.rate,
-            lipschitz_bound=self.rate,
-            hazard_bound=self.rate,
-        )
+    @property
+    def mean(self) -> float:
+        return 1.0 / self.rate
 
     def time_scaled(self, factor: float) -> "Exponential":
         return Exponential(self.rate / factor)
-
-    def to_dict(self) -> dict:
-        return {"family": "exponential", "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -231,20 +201,16 @@ class Deterministic(DistributionSpec):
         x = np.asarray(x, dtype=float)
         return _maybe_scalar(np.clip(x, 0.0, self.value))
 
-    def stats(self) -> DistStats:
-        return DistStats(
-            mean=self.value,
-            support_end=self.value,
-            integrated_sf_total=self.value,
-            lipschitz_bound=math.inf,   # step CDF: flagged not-Lipschitz
-            hazard_bound=math.inf,
-        )
+    @property
+    def mean(self) -> float:
+        return self.value
+
+    @property
+    def support_end(self) -> float:
+        return self.value
 
     def time_scaled(self, factor: float) -> "Deterministic":
         return Deterministic(self.value * factor)
-
-    def to_dict(self) -> dict:
-        return {"family": "deterministic", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -278,21 +244,16 @@ class Uniform(DistributionSpec):
         u = np.clip(x - self.lo, 0.0, self._width)
         return _maybe_scalar(xl + u - u * u / (2.0 * self._width))
 
-    def stats(self) -> DistStats:
-        mean = 0.5 * (self.lo + self.hi)
-        return DistStats(
-            mean=mean,
-            support_end=self.hi,
-            integrated_sf_total=mean,
-            lipschitz_bound=1.0 / self._width,
-            hazard_bound=math.inf,  # 1/(hi - x) blows up at the support end
-        )
+    @property
+    def mean(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def support_end(self) -> float:
+        return self.hi
 
     def time_scaled(self, factor: float) -> "Uniform":
         return Uniform(self.lo * factor, self.hi * factor)
-
-    def to_dict(self) -> dict:
-        return {"family": "uniform", "lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
@@ -319,18 +280,12 @@ class LogNormal(DistributionSpec):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         pos = x > 0.0
-        out = np.zeros_like(x)
-        if np.any(pos):
-            out = np.where(pos, ndtr(self._z(np.where(pos, x, 1.0))), 0.0)
-        return _maybe_scalar(out)
+        return _maybe_scalar(np.where(pos, ndtr(self._z(np.where(pos, x, 1.0))), 0.0))
 
     def sf(self, x):
         x = np.asarray(x, dtype=float)
         pos = x > 0.0
-        out = np.ones_like(x)
-        if np.any(pos):
-            out = np.where(pos, ndtr(-self._z(np.where(pos, x, 1.0))), 1.0)
-        return _maybe_scalar(out)
+        return _maybe_scalar(np.where(pos, ndtr(-self._z(np.where(pos, x, 1.0))), 1.0))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -354,23 +309,12 @@ class LogNormal(DistributionSpec):
         out = np.where(pos, xs * ndtr(-z) + self.mean * ndtr(z - self.sigma), 0.0)
         return _maybe_scalar(out)
 
-    def stats(self) -> DistStats:
-        mean = math.exp(self.mu + 0.5 * self.sigma**2)
-        # max density sits at the mode exp(mu - sigma^2)
-        lip = math.exp(0.5 * self.sigma**2 - self.mu) / (self.sigma * math.sqrt(2.0 * math.pi))
-        return DistStats(
-            mean=mean,
-            support_end=math.inf,
-            integrated_sf_total=mean,
-            lipschitz_bound=lip,
-            hazard_bound=math.inf,  # Lipschitz route is the one that applies
-        )
+    @property
+    def mean(self) -> float:
+        return math.exp(self.mu + 0.5 * self.sigma**2)
 
     def time_scaled(self, factor: float) -> "LogNormal":
         return LogNormal(self.mu + math.log(factor), self.sigma)
-
-    def to_dict(self) -> dict:
-        return {"family": "lognormal", "mu": self.mu, "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -410,10 +354,8 @@ class HyperExponential(DistributionSpec):
         # single-uniform inverse CDF via vectorized bisection; the mixture CDF
         # is strictly increasing, and sf(x) <= exp(-min(rates) x) brackets it.
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        out = bisect_increasing(self.cdf, u, np.zeros_like(u), -np.log1p(-u) / min(self.rates))
-        return float(out[0]) if scalar else out
+        return _maybe_scalar(bisect_increasing(self.cdf, u, np.zeros_like(u),
+                                               -np.log1p(-u) / min(self.rates)))
 
     def integrated_sf(self, x):
         w, r = self._w()
@@ -421,22 +363,13 @@ class HyperExponential(DistributionSpec):
         out = -np.sum((w / r) * np.expm1(-np.multiply.outer(np.maximum(x, 0.0), r)), axis=-1)
         return _maybe_scalar(out)
 
-    def stats(self) -> DistStats:
+    @property
+    def mean(self) -> float:
         w, r = self._w()
-        mean = float(np.sum(w / r))
-        return DistStats(
-            mean=mean,
-            support_end=math.inf,
-            integrated_sf_total=mean,
-            lipschitz_bound=float(np.sum(w * r)),  # density is maximal at 0
-            hazard_bound=float(max(self.rates)),
-        )
+        return float(np.sum(w / r))
 
     def time_scaled(self, factor: float) -> "HyperExponential":
         return HyperExponential(self.weights, tuple(r / factor for r in self.rates))
-
-    def to_dict(self) -> dict:
-        return {"family": "hyperexponential", "weights": list(self.weights), "rates": list(self.rates)}
 
 
 _FAMILIES = {
@@ -448,6 +381,23 @@ _FAMILIES = {
 }
 
 
+def _number(value, name: str) -> float:
+    """A parameter that is a finite JSON number (a bool is not one), as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise DistributionError(f"distribution parameter {name!r} must be a finite number, got {value!r}")
+
+
+def _numbers(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise DistributionError(f"distribution parameter {name!r} must be a list of numbers, got {value!r}")
+    return [_number(v, name) for v in value]
+
+
 def distribution_from_dict(spec: dict) -> DistributionSpec:
     """Build a distribution from a config literal like {"family": "exponential", "rate": 1.0}."""
     if not isinstance(spec, dict) or "family" not in spec:
@@ -457,8 +407,8 @@ def distribution_from_dict(spec: dict) -> DistributionSpec:
         extra = set(spec) - {"family", "mean", "cv"}
         if extra:
             raise DistributionError(f"unknown distribution parameter(s): {sorted(extra)}")
-        return LogNormal.from_mean_cv(spec["mean"], spec.get("cv", 1.0))
-    if family not in _FAMILIES:
+        return LogNormal.from_mean_cv(_number(spec["mean"], "mean"), _number(spec.get("cv", 1.0), "cv"))
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise DistributionError(f"unknown distribution family: {family!r}")
     cls, params = _FAMILIES[family]
     extra = set(spec) - {"family", *params}
@@ -467,7 +417,5 @@ def distribution_from_dict(spec: dict) -> DistributionSpec:
     missing = [p for p in params if p not in spec]
     if missing:
         raise DistributionError(f"distribution family {family!r} requires {missing}")
-    kwargs = {p: spec[p] for p in params}
-    if family == "hyperexponential":
-        kwargs = {"weights": tuple(kwargs["weights"]), "rates": tuple(kwargs["rates"])}
-    return cls(**kwargs)
+    read = _numbers if family == "hyperexponential" else _number
+    return cls(**{p: read(spec[p], p) for p in params})

@@ -21,12 +21,6 @@ class EquilibriumError(ValueError):
 
 
 @dataclass(frozen=True)
-class OfferedWait:
-    wait: float
-    bracket: tuple
-
-
-@dataclass(frozen=True)
 class EquilibriumState:
     offered_wait: float
     wait_bracket: tuple
@@ -59,36 +53,27 @@ class EquilibriumState:
         }
 
 
-def solve_offered_wait(arrival_rate: float, patience: DistributionSpec,
-                       service: DistributionSpec) -> OfferedWait:
-    """Solve the patience CDF for the overload fraction.
+def equilibrium_state(arrival_rate: float, patience: DistributionSpec,
+                      service: DistributionSpec) -> EquilibriumState:
+    """Steady-state offered wait and masses; EquilibriumShaped(busy_mass) is the server law.
 
     Underloaded systems wait zero with a degenerate bracket.  Otherwise one
-    bisection finds both ends of the bracket [w_lo, w_hi] of roots, to the
-    last float: w_lo, the smallest root, is where the CDF reaches the target,
-    and w_hi is where it reaches the next float past the target, so that a
+    bisection finds both ends of the bracket of roots, to the last float: the
+    wait, the smallest root, is where the CDF reaches the target, and the
+    upper end is where it reaches the next float past the target, so that a
     flat stretch of the CDF at the target level lies inside the bracket.
     """
     service.validate_as_service()
     rho = arrival_rate * service.mean
-    if rho <= 1.0:
-        return OfferedWait(wait=0.0, bracket=(0.0, 0.0))
-    target = (rho - 1.0) / rho
-    if target >= 1.0:
-        raise EquilibriumError("target-unreachable: abandonment fraction would reach 1")
-    w_lo, w_hi = bisect_increasing(patience.cdf, [target, np.nextafter(target, 1.0)], 0.0)
-    return OfferedWait(wait=float(w_lo), bracket=(float(w_lo), float(w_hi)))
-
-
-def equilibrium_state(arrival_rate: float, patience: DistributionSpec,
-                      service: DistributionSpec) -> EquilibriumState:
-    """Steady-state offered wait and masses; EquilibriumShaped(busy_mass) is the server law."""
-    ow = solve_offered_wait(arrival_rate, patience, service)
-    rho = arrival_rate * service.mean
-    w = ow.wait
+    w = w_hi = 0.0
+    if rho > 1.0:
+        target = (rho - 1.0) / rho
+        if target >= 1.0:
+            raise EquilibriumError("target-unreachable: abandonment fraction would reach 1")
+        w, w_hi = map(float, bisect_increasing(patience.cdf, [target, np.nextafter(target, 1.0)], 0.0))
     return EquilibriumState(
         offered_wait=w,
-        wait_bracket=ow.bracket,
+        wait_bracket=(w, w_hi),
         queue_mass=arrival_rate * float(patience.integrated_sf(w)),
         busy_mass=min(rho, 1.0),
         virtual_mass=arrival_rate * w,

@@ -360,7 +360,6 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     lam = cfg.arrival_rate
     rho = cfg.traffic_intensity
     patience = cfg.patience
-    support_end = patience.stats().support_end
     steps = int(round(cfg.horizon / cfg.dt))
     times = np.arange(steps + 1) * cfg.dt
     rev_ge, rev_g = _reversed_increments(cfg, times)
@@ -412,7 +411,7 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
                 w = newton
             elif hi < math.inf:
                 w = 0.5 * (lo + hi)
-            elif w >= support_end:  # g is flat and negative past the support
+            elif w >= patience.support_end:  # g is flat and negative past the support
                 raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
             else:
                 w = 2.0 * w
@@ -430,8 +429,7 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
 
     if scheduled.size > 1 and float(np.min(np.diff(scheduled))) < -1e-12:
         raise InvariantViolationError("invariant-violation: B nondecreasing")
-    tail_area = patience.stats().integrated_sf_total
-    if math.isfinite(tail_area) and float(np.max(qv)) > lam * tail_area + 1e-9:
+    if float(np.max(qv)) > lam * patience.mean + 1e-9:
         raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
 
     return FluidSolution(
@@ -465,20 +463,17 @@ def fixed_point_residual(sol: FluidSolution) -> float:
 
     The survival values are recomputed from the solved queue through
     survival_at_offered_wait, not taken from the solver, so the check stays
-    independent of the march.
+    independent of the march.  Both history sums are causal convolutions:
+    entry k - 1 is the sum over j = 1..k of value_j times the increment of
+    cell k - j.
     """
     cfg = sol.config
-    rho = cfg.traffic_intensity
-    rev_ge, rev_g = _reversed_increments(cfg, sol.times)
-    steps = rev_ge.size
+    steps = sol.times.size - 1
+    dge = np.diff(np.asarray(cfg.service.equilibrium_cdf(sol.times)))
+    dg = np.diff(np.asarray(cfg.service.cdf(sol.times)))
     load = np.asarray(initial_load(cfg, sol.initial, sol.times))
     surv = survival_at_offered_wait(cfg.arrival_rate, cfg.patience, sol.queue)
-    worst = 0.0
-    for k in range(1, steps + 1):
-        rhs = (
-            load[k]
-            + rho * np.dot(surv[1 : k + 1], rev_ge[steps - k :])
-            + np.dot(sol.queue[1 : k + 1], rev_g[steps - k :])
-        )
-        worst = max(worst, abs(sol.system[k] - rhs))
-    return worst
+    rhs = (load[1:]
+           + cfg.traffic_intensity * np.convolve(surv[1:], dge)[:steps]
+           + np.convolve(sol.queue[1:], dg)[:steps])
+    return float(np.max(np.abs(sol.system[1:] - rhs)))

@@ -109,7 +109,7 @@ def test_criterion_4_structural_invariants_on_every_solve():
                           horizon=5.0, dt=1e-3)
         sol = solve(cfg, init)  # raises on B/Q invariant violations already
         worst["b_increment"] = min(worst["b_increment"], float(np.min(np.diff(sol.scheduled))))
-        tail_area = patience.stats().integrated_sf_total
+        tail_area = patience.mean
         if math.isfinite(tail_area):
             worst["q_excess"] = max(worst["q_excess"],
                                     float(np.max(sol.queue)) - lam * tail_area)

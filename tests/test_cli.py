@@ -131,6 +131,23 @@ EXIT_CASES = {
                                  cli.EXIT_MODE_MISMATCH),
     "bad arrival distribution": ({**_SIM, "arrival": {"family": "weibull"}},
                                  cli.EXIT_MODE_MISMATCH),
+    "distribution rate a string": ({**_SOLVE, "patience": {"family": "exponential", "rate": "a"}},
+                                   cli.EXIT_MODE_MISMATCH),
+    "distribution rate a bool": ({**_SOLVE, "patience": {"family": "exponential", "rate": True}},
+                                 cli.EXIT_MODE_MISMATCH),
+    "distribution bound null": ({**_SOLVE, "patience": {"family": "uniform", "lo": None, "hi": 2}},
+                                cli.EXIT_MODE_MISMATCH),
+    "hyperexponential weights not lists": (
+        {**_SOLVE, "patience": {"family": "hyperexponential", "weights": 1, "rates": 1}},
+        cli.EXIT_MODE_MISMATCH),
+    "hyperexponential weight a string": (
+        {**_SOLVE, "patience": {"family": "hyperexponential", "weights": [0.5, "a"],
+                                "rates": [1.0, 2.0]}},
+        cli.EXIT_MODE_MISMATCH),
+    "lognormal mean a string": ({**_SOLVE, "service": {"family": "lognormal", "mean": "x", "cv": 1}},
+                                cli.EXIT_MODE_MISMATCH),
+    "distribution family a list": ({**_SOLVE, "service": {"family": ["exponential"]}},
+                                   cli.EXIT_MODE_MISMATCH),
     "snapshot beyond the horizon": ({**_SIM, "snapshot_times": [1.0, 3.0]},
                                     cli.EXIT_MODE_MISMATCH),
     "ode-check rate not positive": ({"mode": "ode-check", "rho": 1.0, "alpha": 1.0, "mu": 0.0,

@@ -99,15 +99,16 @@ def _sf_breakpoints(dist):
 
 @pytest.mark.parametrize("dist", FAMILIES, ids=_ids(FAMILIES))
 def test_equilibrium_cdf_matches_quadrature(dist):
+    # one quadrature per interval between consecutive x values and breakpoints, summed
+    # cumulatively, so the oracle at x is still the integral of sf over [0, x]
     mu = 1.0 / dist.mean
-    breaks = _sf_breakpoints(dist)
-    for x in np.linspace(0.0, 3.0 * dist.mean, 100):
-        cuts = [0.0] + [b for b in breaks if 0.0 < b < x] + [float(x)]
-        oracle = mu * sum(
-            adaptive_simpson(lambda y: float(dist.sf(y)), a, b, tol=1e-12)
-            for a, b in zip(cuts[:-1], cuts[1:])
-        )
-        assert dist.equilibrium_cdf(x) == pytest.approx(oracle, abs=1e-8)
+    xs = np.linspace(0.0, 3.0 * dist.mean, 100)
+    nodes = np.union1d(xs, [b for b in _sf_breakpoints(dist) if 0.0 < b < xs[-1]])
+    pieces = [adaptive_simpson(lambda y: float(dist.sf(y)), a, b, tol=1e-12)
+              for a, b in zip(nodes[:-1], nodes[1:])]
+    areas = np.concatenate([[0.0], np.cumsum(pieces)])
+    for x, area in zip(xs, areas[np.searchsorted(nodes, xs)]):
+        assert dist.equilibrium_cdf(x) == pytest.approx(mu * area, abs=1e-8)
 
 
 # ---------------------------------------------------------------- integrated sf
@@ -132,7 +133,7 @@ def test_integrated_sf_one_lipschitz(dist):
 
 @pytest.mark.parametrize("dist", FAMILIES, ids=_ids(FAMILIES))
 def test_integrated_sf_inverse_round_trip(dist):
-    total = dist.stats().integrated_sf_total
+    total = dist.mean
     for y in np.linspace(0.0, 0.99 * total, 200):
         x = dist.integrated_sf_inverse(float(y))
         assert dist.integrated_sf(x) == pytest.approx(float(y), abs=1e-10)
@@ -209,19 +210,9 @@ def test_deterministic_sampling_is_exact():
 # ---------------------------------------------------------------- stats
 
 def test_stats_examples():
-    st = Exponential(0.5).stats()
-    assert st.mean == 2.0
-    assert st.support_end == math.inf
-    assert st.integrated_sf_total == 2.0
-    assert st.hazard_bound == 0.5
-
-    st = Deterministic(2.0).stats()
-    assert (st.mean, st.support_end, st.integrated_sf_total) == (2.0, 2.0, 2.0)
-    assert not st.is_lipschitz
-
-    st = Uniform(0.0, 2.0).stats()
-    assert (st.mean, st.support_end, st.integrated_sf_total) == (1.0, 2.0, 1.0)
-    assert st.lipschitz_bound == 0.5
+    assert (Exponential(0.5).mean, Exponential(0.5).support_end) == (2.0, math.inf)
+    assert (Deterministic(2.0).mean, Deterministic(2.0).support_end) == (2.0, 2.0)
+    assert (Uniform(0.0, 2.0).mean, Uniform(0.0, 2.0).support_end) == (1.0, 2.0)
 
 
 def test_lognormal_mean_cv_parameterization():
@@ -231,30 +222,37 @@ def test_lognormal_mean_cv_parameterization():
     assert math.exp(d.sigma**2) - 1.0 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_hyperexponential_stats():
+def test_hyperexponential_mean():
     d = HyperExponential((0.4, 0.6), (0.5, 2.0))
     assert d.mean == pytest.approx(0.4 / 0.5 + 0.6 / 2.0, abs=1e-12)
-    assert d.stats().hazard_bound == 2.0
 
 
 # ---------------------------------------------------------------- roles & literals
 
-def test_role_validation():
-    Exponential(1.0).validate_as_service()
-    Exponential(1.0).validate_as_patience()
-    Uniform(0.0, 2.0).validate_as_patience()
-    LogNormal.from_mean_cv(1.0, 1.0).validate_as_service()
-    with pytest.raises(DistributionError, match="invalid service distribution"):
-        Deterministic(2.0).validate_as_service()
-    with pytest.raises(DistributionError, match="invalid patience distribution"):
-        Deterministic(2.0).validate_as_patience()
+@pytest.mark.parametrize("dist", FAMILIES, ids=_ids(FAMILIES))
+def test_role_validation(dist):
+    if not dist.has_atoms:
+        dist.validate_as_service()
+        dist.validate_as_patience()
+        return
+    with pytest.raises(DistributionError, match="invalid service distribution: CDF has atoms"):
+        dist.validate_as_service()
+    with pytest.raises(DistributionError, match="invalid patience distribution: CDF is neither "
+                                                "Lipschitz nor of bounded hazard"):
+        dist.validate_as_patience()
 
 
 def test_distribution_literals_round_trip():
-    for dist in FAMILIES:
-        rebuilt = distribution_from_dict(dist.to_dict())
-        assert rebuilt == dist
-    assert distribution_from_dict({"family": "exponential", "rate": 1.0}) == Exponential(1.0)
+    literals = [
+        ({"family": "exponential", "rate": 1.0}, Exponential(1.0)),
+        ({"family": "deterministic", "value": 2.0}, Deterministic(2.0)),
+        ({"family": "uniform", "lo": 0.5, "hi": 2.5}, Uniform(0.5, 2.5)),
+        ({"family": "lognormal", "mu": 0.3, "sigma": 0.8}, LogNormal(0.3, 0.8)),
+        ({"family": "hyperexponential", "weights": [0.4, 0.6], "rates": [0.5, 2]},
+         HyperExponential((0.4, 0.6), (0.5, 2.0))),
+    ]
+    for literal, dist in literals:
+        assert distribution_from_dict(literal) == dist
     with pytest.raises(DistributionError):
         distribution_from_dict({"family": "gamma", "shape": 2.0})
     with pytest.raises(DistributionError):

@@ -4,47 +4,47 @@ import numpy as np
 import pytest
 
 from fluidq.distributions import Exponential, HyperExponential, LogNormal, Uniform
-from fluidq.equilibrium import equilibrium_state, solve_offered_wait
+from fluidq.equilibrium import equilibrium_state
 from fluidq.fluid import EquilibriumShaped, FluidConfig, solve, virtual_buffer_tail
 
 PROBES = np.linspace(-6.0, 10.0, 257)
 
 
 def test_offered_wait_underloaded_is_zero():
-    ow = solve_offered_wait(0.8, Exponential(1.0), Exponential(1.0))
-    assert ow.wait == 0.0
-    assert ow.bracket == (0.0, 0.0)
+    state = equilibrium_state(0.8, Exponential(1.0), Exponential(1.0))
+    assert state.offered_wait == 0.0
+    assert state.wait_bracket == (0.0, 0.0)
 
 
 def test_offered_wait_closed_forms():
     # F(w) = (rho-1)/rho with exponential patience inverts to log terms
-    ow = solve_offered_wait(1.2, Exponential(1.0), Exponential(1.0))
-    assert ow.wait == pytest.approx(math.log(1.2), abs=1e-9)
+    state = equilibrium_state(1.2, Exponential(1.0), Exponential(1.0))
+    assert state.offered_wait == pytest.approx(math.log(1.2), abs=1e-9)
 
-    ow = solve_offered_wait(2.0, Exponential(2.0), Exponential(1.0))
-    assert ow.wait == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
+    state = equilibrium_state(2.0, Exponential(2.0), Exponential(1.0))
+    assert state.offered_wait == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
 
 
 def test_offered_wait_bracket_degenerate_for_strictly_increasing_cdf():
-    ow = solve_offered_wait(1.5, Exponential(1.0), Exponential(1.0))
-    lo, hi = ow.bracket
+    state = equilibrium_state(1.5, Exponential(1.0), Exponential(1.0))
+    lo, hi = state.wait_bracket
     assert hi - lo <= 2e-10
-    assert lo <= ow.wait <= hi + 1e-12
+    assert lo <= state.offered_wait <= hi + 1e-12
 
 
 def test_offered_wait_is_the_smallest_float_reaching_the_target():
     # uniform(0, 2) patience at rho = 1.5: the last bracket's midpoint was the float below
     patience = Uniform(0.0, 2.0)
     target = (1.5 - 1.0) / 1.5
-    w = solve_offered_wait(1.5, patience, Exponential(1.0)).wait
+    w = equilibrium_state(1.5, patience, Exponential(1.0)).offered_wait
     assert patience.cdf(w) >= target
     assert patience.cdf(np.nextafter(w, 0.0)) < target
 
 
 def test_offered_wait_bounded_patience_support():
     # rho = 2 with Uniform(0,2) patience: F(w) = w/2 = 1/2 -> w = 1
-    ow = solve_offered_wait(2.0, Uniform(0.0, 2.0), Exponential(1.0))
-    assert ow.wait == pytest.approx(1.0, abs=1e-9)
+    state = equilibrium_state(2.0, Uniform(0.0, 2.0), Exponential(1.0))
+    assert state.offered_wait == pytest.approx(1.0, abs=1e-9)
 
 
 def test_equilibrium_state_underloaded():
