@@ -262,8 +262,9 @@ class LogNormal(DistributionSpec):
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise DistributionError("lognormal sigma must be positive")
+        if not (math.isfinite(self.mu) and 0.0 < self.sigma
+                and self.mu + 0.5 * self.sigma * self.sigma <= math.log(np.finfo(float).max)):
+            raise DistributionError("lognormal needs a finite mu, a positive sigma and a finite mean")
 
     @classmethod
     def from_mean_cv(cls, mean: float, cv: float) -> "LogNormal":

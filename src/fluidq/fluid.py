@@ -463,17 +463,17 @@ def fixed_point_residual(sol: FluidSolution) -> float:
 
     The survival values are recomputed from the solved queue through
     survival_at_offered_wait, not taken from the solver, so the check stays
-    independent of the march.  Both history sums are causal convolutions:
-    entry k - 1 is the sum over j = 1..k of value_j times the increment of
-    cell k - j.
+    independent of the march.  Both history sums are causal convolutions, entry
+    k - 1 the sum over j = 1..k of value_j times the increment of cell k - j,
+    taken by one real FFT padded to 2 steps - 1 or more points, so none wraps.
     """
     cfg = sol.config
     steps = sol.times.size - 1
-    dge = np.diff(np.asarray(cfg.service.equilibrium_cdf(sol.times)))
-    dg = np.diff(np.asarray(cfg.service.cdf(sol.times)))
+    increments = np.diff([cfg.service.equilibrium_cdf(sol.times), cfg.service.cdf(sol.times)])
     load = np.asarray(initial_load(cfg, sol.initial, sol.times))
     surv = survival_at_offered_wait(cfg.arrival_rate, cfg.patience, sol.queue)
-    rhs = (load[1:]
-           + cfg.traffic_intensity * np.convolve(surv[1:], dge)[:steps]
-           + np.convolve(sol.queue[1:], dg)[:steps])
+    size = 1 << (2 * steps - 2).bit_length()
+    spectra = np.fft.rfft([surv[1:], sol.queue[1:]], size) * np.fft.rfft(increments, size)
+    sums = np.fft.irfft(spectra, size)[:, :steps]
+    rhs = load[1:] + cfg.traffic_intensity * sums[0] + sums[1]
     return float(np.max(np.abs(sol.system[1:] - rhs)))

@@ -5,12 +5,16 @@ arrived-but-unscheduled customer (including those whose patience already
 expired) measured by remaining patience, and the busy servers measured by
 remaining service time.  Abandonment is detected lazily when a customer
 reaches the head of the line; the real queue length at a snapshot counts the
-virtual-buffer customers with positive residual patience.
+virtual-buffer customers with positive residual patience.  The only heap holds
+the busy servers' completion times; arrivals come in time order from their own
+stream (renewal gaps, or an explicit schedule sorted first), and a completion
+goes before an arrival at the same time.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -20,7 +24,6 @@ from .distributions import DistributionSpec, bisect_increasing
 from .fluid import FluidSolution, MeasureProfiles, ValidatedInitial
 from .measures import TailMeasure, sup_distance
 
-_COMPLETION, _ARRIVAL = 0, 1  # completions processed before arrivals on ties
 _BLOCK = 2048  # arrivals per block of uniforms
 
 
@@ -82,29 +85,22 @@ class _Engine:
     def __init__(self, cfg: SimConfig, replication_index: int, arrival_times=None):
         self.cfg = cfg
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replication_index)))
-        self.events: list = []
         self.buffer: deque[tuple[float, float, float]] = deque()  # (arrival, patience, service)
-        self.busy: dict[int, float] = {}  # server -> completion time
-        self.idle: list[int] = list(range(cfg.num_servers))  # sorted, hence a heap
+        self.busy: list[float] = []  # completion times of the busy servers, a heap
+        self.idle = cfg.num_servers  # idle server count
         self.arrivals = 0
         self.completed = 0
         self.left_buffer = 0
         self.abandoned_released = 0
         self.initial_virtual = 0
         self.initial_busy = 0
-
-        self._renewal = arrival_times is None
+        self._schedule = None if arrival_times is None else iter(sorted(map(float, arrival_times)))
 
         self._seed_initial_state()
 
         self._rows = self._draw_rows()
         self._row = next(self._rows)  # the next arrival's draws
-        if self._renewal:
-            heapq.heappush(self.events, (self._row[0], _ARRIVAL, 1))
-            self._next_index = 2
-        else:
-            for i, t in enumerate(arrival_times, start=1):
-                heapq.heappush(self.events, (float(t), _ARRIVAL, i))
+        self._next_arrival = self._arrival_after(0.0)
 
     def _seed_initial_state(self):
         init = self.cfg.initial
@@ -112,10 +108,9 @@ class _Engine:
             return
         n = self.cfg.num_servers
         busy_count = min(int(np.floor(n * init.busy0)), n)
-        for sid, done in enumerate(_busy_residuals(self.cfg.service, init, busy_count)):
-            self.busy[sid] = float(done)
-            heapq.heappush(self.events, (float(done), _COMPLETION, sid))
-        self.idle = list(range(busy_count, n))
+        self.busy = _busy_residuals(self.cfg.service, init, busy_count).tolist()
+        heapq.heapify(self.busy)
+        self.idle = n - busy_count
         self.initial_busy = busy_count
 
         waiting = int(np.floor(n * init.virtual0))
@@ -134,7 +129,7 @@ class _Engine:
         a contiguous array, whose results equal those of 0-d calls bit for bit.
         """
         laws = (self.cfg.patience, self.cfg.service)
-        if self._renewal:
+        if self._schedule is None:
             laws = (self.cfg.interarrival, *laws)
         while True:
             block = self.rng.random((_BLOCK, len(laws)))
@@ -142,12 +137,16 @@ class _Engine:
                        for j, law in enumerate(laws)]
             yield from zip(*columns)
 
+    def _arrival_after(self, now: float) -> float:
+        """The gap in the current row added to now, or the schedule's next time."""
+        if self._schedule is None:
+            return now + self._row[0]
+        return next(self._schedule, math.inf)
+
     # -- event handlers ----------------------------------------------------
 
-    def _start_service(self, entry: tuple, server: int, now: float):
-        done = now + entry[2]  # entry = (arrival, patience, service)
-        self.busy[server] = done
-        heapq.heappush(self.events, (done, _COMPLETION, server))
+    def _start_service(self, entry: tuple, now: float):
+        heapq.heappush(self.busy, now + entry[2])  # entry = (arrival, patience, service)
 
     def _handle_arrival(self, now: float):
         self.arrivals += 1
@@ -155,17 +154,15 @@ class _Engine:
         self._row = next(self._rows)
         entry = (now, patience, service)
         if self.idle:
+            self.idle -= 1
             self.left_buffer += 1  # passes through the virtual buffer instantly
-            self._start_service(entry, heapq.heappop(self.idle), now)
+            self._start_service(entry, now)
         else:
             self.buffer.append(entry)
-        if self._renewal:
-            heapq.heappush(self.events, (now + self._row[0], _ARRIVAL, self._next_index))
-            self._next_index += 1
+        self._next_arrival = self._arrival_after(now)
 
-    def _handle_completion(self, now: float, server: int):
+    def _handle_completion(self, now: float):
         self.completed += 1
-        del self.busy[server]
         while self.buffer:
             entry = self.buffer.popleft()
             self.left_buffer += 1
@@ -174,28 +171,30 @@ class _Engine:
                 # expired before its turn: leaves the virtual buffer unserved
                 self.abandoned_released += 1
                 continue
-            self._start_service(entry, server, now)
+            self._start_service(entry, now)
             break
         else:
-            heapq.heappush(self.idle, server)
+            self.idle += 1
 
     def _pump(self, until: float):
-        while self.events and self.events[0][0] <= until:
-            t, kind, key = heapq.heappop(self.events)
-            if kind == _COMPLETION:
-                self._handle_completion(t, key)
+        busy = self.busy
+        while True:
+            arrival = self._next_arrival
+            if busy and busy[0] <= arrival and busy[0] <= until:  # completions win ties
+                self._handle_completion(heapq.heappop(busy))
+            elif arrival <= until:
+                self._handle_arrival(arrival)
             else:
-                self._handle_arrival(t)
+                return
 
     def _snapshot(self, t: float) -> SystemSnapshot:
         buf_res = np.array([patience - (t - arrival) for arrival, patience, _ in self.buffer])
-        srv_res = np.array([done - t for done in self.busy.values()])
         queue = int(np.sum(buf_res > 0.0))
         expired_waiting = buf_res.size - queue
         return SystemSnapshot(
             time=t,
             buffer_measure=TailMeasure.from_samples(buf_res, 1.0),
-            server_measure=TailMeasure.from_samples(srv_res, 1.0),
+            server_measure=TailMeasure.from_samples(np.array(self.busy) - t, 1.0),
             queue_size=queue,
             virtual_size=buf_res.size,
             busy_servers=len(self.busy),

@@ -146,6 +146,12 @@ EXIT_CASES = {
         cli.EXIT_MODE_MISMATCH),
     "lognormal mean a string": ({**_SOLVE, "service": {"family": "lognormal", "mean": "x", "cv": 1}},
                                 cli.EXIT_MODE_MISMATCH),
+    "lognormal mean overflows": ({**_SOLVE, "patience": {"family": "lognormal", "mu": 0,
+                                                         "sigma": 1000}},
+                                 cli.EXIT_MODE_MISMATCH),
+    "lognormal sigma overflows": ({**_SOLVE, "patience": {"family": "lognormal", "mean": 1e308,
+                                                          "cv": 1e300}},
+                                  cli.EXIT_MODE_MISMATCH),
     "distribution family a list": ({**_SOLVE, "service": {"family": ["exponential"]}},
                                    cli.EXIT_MODE_MISMATCH),
     "snapshot beyond the horizon": ({**_SIM, "snapshot_times": [1.0, 3.0]},

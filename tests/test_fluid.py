@@ -204,6 +204,24 @@ def test_fixed_point_residual_detects_a_perturbed_system_value():
     assert fixed_point_residual(dataclasses.replace(sol, system=system)) > 1e-7
 
 
+@pytest.mark.parametrize("patience", [Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0),
+                                      HyperExponential((0.4, 0.6), (0.5, 2.0))],
+                         ids=["exponential", "lognormal", "hyperexponential"])
+def test_fixed_point_residual_matches_the_direct_history_sums(patience):
+    service = LogNormal.from_mean_cv(1.0, 1.0)
+    cfg = _cfg(1.5, patience, service, horizon=3.0, dt=2e-3)
+    sol = solve(cfg)
+    steps = sol.times.size - 1
+    dge = np.diff(service.equilibrium_cdf(sol.times))
+    dg = np.diff(service.cdf(sol.times))
+    surv = survival_at_offered_wait(cfg.arrival_rate, patience, sol.queue)
+    rhs = (initial_load(cfg, sol.initial, sol.times)[1:]
+           + cfg.traffic_intensity * np.convolve(surv[1:], dge)[:steps]
+           + np.convolve(sol.queue[1:], dg)[:steps])
+    direct = float(np.max(np.abs(sol.system[1:] - rhs)))
+    assert abs(fixed_point_residual(sol) - direct) <= 1e-14
+
+
 def test_solve_reports_newton_diagnostics():
     cfg = _cfg(1.5, LogNormal.from_mean_cv(1.0, 1.0), Exponential(1.0), horizon=2.0, dt=4e-3)
     sol = solve(cfg)

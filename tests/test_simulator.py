@@ -109,9 +109,9 @@ def test_fcfs_service_starts_are_ordered():
     started = []  # (arrival, start) per service start, in event order
     start_service = engine._start_service
 
-    def record(entry, server, now):
+    def record(entry, now):
         started.append((entry[0], now))
-        start_service(entry, server, now)
+        start_service(entry, now)
 
     engine._start_service = record
     snap = engine.run()[0]
@@ -122,6 +122,20 @@ def test_fcfs_service_starts_are_ordered():
     assert arrivals == sorted(arrivals)  # service in order of arrival
     assert starts == sorted(starts)
     assert all(a <= s for a, s in started)
+
+
+def test_completion_heap_holds_exactly_the_busy_servers():
+    patience, service = HyperExponential((0.4, 0.6), (0.5, 2.0)), LogNormal.from_mean_cv(1.0, 1.0)
+    _, init = _equilibrium_start(1.5, patience, service)
+    n = 40
+    cfg = SimConfig(n, Exponential(n * 1.5), patience, service, horizon=3.0,
+                    snapshot_times=tuple(np.arange(13) * 0.25), seed=8, initial=init)
+    engine = _Engine(cfg, 0)
+    for t in cfg.snapshot_times:
+        engine._pump(t)
+        snap = engine._snapshot(t)
+        assert len(engine.busy) == snap.busy_servers == n - engine.idle
+        assert all(done > t for done in engine.busy)
 
 
 def test_determinism_same_seed_and_index():
@@ -186,7 +200,7 @@ def test_seeded_completions_are_positive_quantiles_of_the_exact_law():
     n = 400
     cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), service, horizon=1.0,
                     snapshot_times=(1.0,), initial=init)
-    done = np.sort(list(_Engine(cfg, 0).busy.values()))
+    done = np.sort(_Engine(cfg, 0).busy)
     assert done.size == n and done[0] > 0.0
     assert done[-1] > cfg.horizon  # not clamped to a probe range
     np.testing.assert_allclose(service.equilibrium_cdf(done), (np.arange(n) + 0.5) / n,
@@ -209,7 +223,7 @@ def test_tabulated_profile_with_mass_past_its_grid_seeds_at_the_grid_end():
     fc = FluidConfig(arrival_rate=1.2, patience=Exponential(1.0), service=Exponential(1.0))
     init = validate_initial(fc, InitialCondition(0.0, TabulatedProfile(table)))
     n = 50
-    done = np.sort(list(_Engine(_mmnm_config(n, initial=init), 0).busy.values()))
+    done = np.sort(_Engine(_mmnm_config(n, initial=init), 0).busy)
     levels = 1.0 - (np.arange(n) + 0.5) / n
     below = levels < table.tails[-1]  # the last 20 levels
     assert below.sum() == 20
@@ -274,6 +288,24 @@ def test_stream_is_pinned_for_an_arrival_schedule():
         ((5, 5, 3, 1, 5, 14), "0x1.ec36d6d80d70ep+1", "0x1.c976fe3f14c23p+1"),
         ((1, 1, 3, 15, 21, 40), "0x1.9942dbd5828a0p+0", "0x1.2d7c85bb16411p+2"),
     ]
+
+
+def _snapshot_values(snap):
+    return ((snap.time, snap.queue_size, snap.virtual_size, snap.busy_servers, snap.abandoned,
+             snap.completed, snap.arrivals, snap.left_buffer),
+            [(m.grid.tolist(), m.tails.tolist(), m.total)
+             for m in (snap.buffer_measure, snap.server_measure)])
+
+
+def test_arrival_schedule_is_taken_in_time_order():
+    cfg = SimConfig(3, Exponential(1.0), Exponential(1.0), Exponential(0.8), horizon=6.0,
+                    snapshot_times=(1.0, 2.5, 6.0), seed=11)
+    schedule = np.concatenate((np.linspace(0.05, 5.9, 40), [1.7, 1.7, 3.0]))
+    shuffled = np.random.default_rng(4).permutation(schedule)
+    assert not np.all(np.diff(shuffled) >= 0.0)
+    expected = [_snapshot_values(s) for s in run(cfg, arrival_times=np.sort(schedule))]
+    assert [_snapshot_values(s) for s in run(cfg, arrival_times=shuffled)] == expected
+    assert expected[-1][0][6] == schedule.size
 
 
 # ---------------------------------------------------------------- comparison
