@@ -1,4 +1,4 @@
-"""Fluid-model solver and discrete-event simulator for many-server queues with abandonment."""
+"""Fluid-model solver and FCFS recursion simulator for many-server queues with abandonment."""
 
 from .distributions import (
     Deterministic,

@@ -1,4 +1,4 @@
-"""Lifetime distributions for the fluid model and the event simulator.
+"""Lifetime distributions for the fluid model and the simulator.
 
 Each family knows its CDF and complement, the integrated survival function
 x -> int_0^x sf(y) dy with its inverse, the equilibrium (stationary-excess)

@@ -1,21 +1,21 @@
-"""Event-driven simulation of the n-server queue with abandonment.
+"""Simulation of the n-server FCFS queue with abandonment, one customer at a time.
 
-The state descriptor mirrors the fluid model: a virtual buffer holding every
-arrived-but-unscheduled customer (including those whose patience already
-expired) measured by remaining patience, and the busy servers measured by
-remaining service time.  Abandonment is detected lazily when a customer
-reaches the head of the line; the real queue length at a snapshot counts the
-virtual-buffer customers with positive residual patience.  The only heap holds
-the busy servers' completion times; arrivals come in time order from their own
-stream (renewal gaps, or an explicit schedule sorted first), and a completion
-goes before an arrival at the same time.
+Customers are taken in arrival order, the seeded buffer first.  Each meets the earliest
+free time W of the n servers (Kiefer and Wolfowitz, On the theory of queues with many
+servers, 1955), kept in a heap that starts from the seeded completion times and 0 for
+each idle server.  It leaves the buffer at max(A, W): unserved if it had to wait, W > A,
+and its patience ran out, P <= W - A; otherwise that server is free again at
+max(A, W) + S.  So a completion goes before an arrival at the same time.  Snapshots are
+masks over the per-customer arrays and mirror the fluid state: a virtual buffer holding
+every arrived-but-unscheduled customer (including those whose patience already expired)
+measured by residual patience, and the busy servers measured by residual service time.
+The real queue counts the buffer's positive residuals; a completion or a departure from
+the buffer at the snapshot time has happened by then.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,138 +81,73 @@ def _busy_residuals(service: DistributionSpec, init: ValidatedInitial, count: in
     return bisect_increasing(lambda x: -init.server_tail(service, x), -levels, np.zeros(count))
 
 
-class _Engine:
-    def __init__(self, cfg: SimConfig, replication_index: int, arrival_times=None):
-        self.cfg = cfg
-        self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replication_index)))
-        self.buffer: deque[tuple[float, float, float]] = deque()  # (arrival, patience, service)
-        self.busy: list[float] = []  # completion times of the busy servers, a heap
-        self.idle = cfg.num_servers  # idle server count
-        self.arrivals = 0
-        self.completed = 0
-        self.left_buffer = 0
-        self.abandoned_released = 0
-        self.initial_virtual = 0
-        self.initial_busy = 0
-        self._schedule = None if arrival_times is None else iter(sorted(map(float, arrival_times)))
+def _seed(cfg: SimConfig, rng: np.random.Generator) -> tuple:
+    """The seeded servers' completion times and the seeded buffer's arrival, patience and
+    service arrays, oldest first."""
+    init = cfg.initial
+    if init is None:
+        return (np.empty(0),) * 4
+    n = cfg.num_servers
+    busy = min(int(np.floor(n * init.busy0)), n)
+    waiting = int(np.floor(n * init.virtual0))
+    arrival = -init.wait0 * (1.0 - (np.arange(waiting) + 0.5) / waiting)
+    patience = cfg.patience.sample(rng, waiting)
+    service = cfg.service.sample(rng, waiting)
+    return _busy_residuals(cfg.service, init, busy), arrival, patience, service
 
-        self._seed_initial_state()
 
-        self._rows = self._draw_rows()
-        self._row = next(self._rows)  # the next arrival's draws
-        self._next_arrival = self._arrival_after(0.0)
+def _arrivals(cfg: SimConfig, rng: np.random.Generator, arrival_times, until: float) -> tuple:
+    """Arrival times up to until, with each arrival's patience and service draws.
 
-    def _seed_initial_state(self):
-        init = self.cfg.initial
-        if init is None:
-            return
-        n = self.cfg.num_servers
-        busy_count = min(int(np.floor(n * init.busy0)), n)
-        self.busy = _busy_residuals(self.cfg.service, init, busy_count).tolist()
-        heapq.heapify(self.busy)
-        self.idle = n - busy_count
-        self.initial_busy = busy_count
+    The draws come in blocks of rows, (gap, patience, service) per arrival, (patience,
+    service) on a schedule, read after the seeding draws in order as scalar sample() calls
+    would: rng.random((k, m)) gives the doubles of k m scalar calls row by row, and each law
+    samples as quantile(rng.random()).  Each column goes to quantile as a contiguous array,
+    whose results equal those of 0-d calls bit for bit.  Renewal times are one sequential
+    cumsum per block with the last time carried in, the floats of repeated now + gap.
+    Blocks stop once a row lies past the arrivals up to until.
+    """
+    laws = (cfg.patience, cfg.service)
+    if arrival_times is None:
+        laws = (cfg.interarrival, *laws)
+    else:
+        arrival = np.array(sorted(map(float, arrival_times)))
+        arrival = arrival[:np.searchsorted(arrival, until, side="right")]
+    blocks, last = [], 0.0
+    while last <= until if arrival_times is None else len(blocks) * _BLOCK <= arrival.size:
+        u = rng.random((_BLOCK, len(laws))).T.copy()
+        blocks.append([law.quantile(column) for law, column in zip(laws, u)])
+        if arrival_times is None:
+            blocks[-1][0] = np.cumsum(np.concatenate(([last], blocks[-1][0])))[1:]
+            last = blocks[-1][0][-1]
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    if arrival_times is None:
+        arrival = columns[0][:np.searchsorted(columns[0], until, side="right")]
+    return arrival, columns[-2][:arrival.size], columns[-1][:arrival.size]
 
-        waiting = int(np.floor(n * init.virtual0))
-        arrivals = -init.wait0 * (1.0 - (np.arange(waiting) + 0.5) / waiting)  # oldest first
-        patience = self.cfg.patience.sample(self.rng, waiting)
-        services = self.cfg.service.sample(self.rng, waiting)
-        self.buffer.extend(zip(arrivals.tolist(), patience.tolist(), services.tolist()))
-        self.initial_virtual = waiting
 
-    def _draw_rows(self):
-        """One (gap, patience, service) row per arrival, (patience, service) on a schedule.
-
-        The rows read the stream after the seeding draws in order, as scalar sample()
-        calls would: rng.random((k, m)) gives the doubles of k m scalar calls row by row,
-        and each law samples as quantile(rng.random()).  Each column goes to quantile as
-        a contiguous array, whose results equal those of 0-d calls bit for bit.
-        """
-        laws = (self.cfg.patience, self.cfg.service)
-        if self._schedule is None:
-            laws = (self.cfg.interarrival, *laws)
-        while True:
-            block = self.rng.random((_BLOCK, len(laws)))
-            columns = [law.quantile(np.ascontiguousarray(block[:, j])).tolist()
-                       for j, law in enumerate(laws)]
-            yield from zip(*columns)
-
-    def _arrival_after(self, now: float) -> float:
-        """The gap in the current row added to now, or the schedule's next time."""
-        if self._schedule is None:
-            return now + self._row[0]
-        return next(self._schedule, math.inf)
-
-    # -- event handlers ----------------------------------------------------
-
-    def _start_service(self, entry: tuple, now: float):
-        heapq.heappush(self.busy, now + entry[2])  # entry = (arrival, patience, service)
-
-    def _handle_arrival(self, now: float):
-        self.arrivals += 1
-        patience, service = self._row[-2:]
-        self._row = next(self._rows)
-        entry = (now, patience, service)
-        if self.idle:
-            self.idle -= 1
-            self.left_buffer += 1  # passes through the virtual buffer instantly
-            self._start_service(entry, now)
-        else:
-            self.buffer.append(entry)
-        self._next_arrival = self._arrival_after(now)
-
-    def _handle_completion(self, now: float):
-        self.completed += 1
-        while self.buffer:
-            entry = self.buffer.popleft()
-            self.left_buffer += 1
-            arrival, patience, _ = entry
-            if patience <= now - arrival:
-                # expired before its turn: leaves the virtual buffer unserved
-                self.abandoned_released += 1
-                continue
-            self._start_service(entry, now)
-            break
-        else:
-            self.idle += 1
-
-    def _pump(self, until: float):
-        busy = self.busy
-        while True:
-            arrival = self._next_arrival
-            if busy and busy[0] <= arrival and busy[0] <= until:  # completions win ties
-                self._handle_completion(heapq.heappop(busy))
-            elif arrival <= until:
-                self._handle_arrival(arrival)
-            else:
-                return
-
-    def _snapshot(self, t: float) -> SystemSnapshot:
-        buf_res = np.array([patience - (t - arrival) for arrival, patience, _ in self.buffer])
-        queue = int(np.sum(buf_res > 0.0))
-        expired_waiting = buf_res.size - queue
-        return SystemSnapshot(
-            time=t,
-            buffer_measure=TailMeasure.from_samples(buf_res, 1.0),
-            server_measure=TailMeasure.from_samples(np.array(self.busy) - t, 1.0),
-            queue_size=queue,
-            virtual_size=buf_res.size,
-            busy_servers=len(self.busy),
-            system_size=queue + len(self.busy),
-            abandoned=self.abandoned_released + expired_waiting,
-            completed=self.completed,
-            arrivals=self.arrivals,
-            left_buffer=self.left_buffer,
-            initial_virtual=self.initial_virtual,
-            initial_busy=self.initial_busy,
-        )
-
-    def run(self) -> list[SystemSnapshot]:
-        snaps = []
-        for t in self.cfg.snapshot_times:
-            self._pump(t)
-            snaps.append(self._snapshot(t))
-        return snaps
+def _customers(cfg: SimConfig, replication_index: int, arrival_times=None) -> tuple:
+    """Draw, then recurse: the seeded servers' completion times, the seeded buffer's size,
+    and per customer in FIFO order its arrival, patience and service, the time it left
+    the buffer, and whether it was served."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replication_index)))
+    done0, *seeded = _seed(cfg, rng)
+    fresh = _arrivals(cfg, rng, arrival_times, max(cfg.snapshot_times, default=0.0))
+    arrival, patience, service = (np.concatenate(pair) for pair in zip(seeded, fresh))
+    # the servers' free times, a heap; an idle server is free from 0, so it takes the
+    # seeded buffer's head there, not the next arrival (a busy mass within validation's
+    # 1e-9 of one floors to n - 1 seeded servers)
+    free = [0.0] * (cfg.num_servers - done0.size) + sorted(done0.tolist())
+    leave, served = [], []
+    for a, p, s in zip(arrival.tolist(), patience.tolist(), service.tolist()):
+        w = free[0]
+        served.append(w <= a or p > w - a)
+        if served[-1]:
+            w = max(a, w)
+            heapq.heapreplace(free, w + s)
+        leave.append(w)
+    return (done0, seeded[0].size, arrival, patience, service, np.array(leave),
+            np.array(served, dtype=bool))
 
 
 def run(cfg: SimConfig, replication_index: int = 0, arrival_times=None) -> list[SystemSnapshot]:
@@ -221,7 +156,31 @@ def run(cfg: SimConfig, replication_index: int = 0, arrival_times=None) -> list[
     arrival_times, when given, replaces the renewal stream with an explicit
     schedule (deterministic trace runs).
     """
-    return _Engine(cfg, replication_index, arrival_times).run()
+    done0, waiting0, arrival, patience, service, leave, served = _customers(
+        cfg, replication_index, arrival_times)
+    done = leave + service
+    snaps = []
+    for t in cfg.snapshot_times:
+        waiting = (arrival <= t) & (t < leave)
+        residual = patience[waiting] - (t - arrival[waiting])
+        queue = int(np.count_nonzero(residual > 0.0))
+        busy = np.concatenate((done[served & (leave <= t) & (t < done)], done0[done0 > t]))
+        snaps.append(SystemSnapshot(
+            time=t,
+            buffer_measure=TailMeasure.from_samples(residual, 1.0),
+            server_measure=TailMeasure.from_samples(busy - t, 1.0),
+            queue_size=queue,
+            virtual_size=residual.size,
+            busy_servers=busy.size,
+            system_size=queue + busy.size,
+            abandoned=int(np.count_nonzero(~served & (leave <= t))) + residual.size - queue,
+            completed=int(np.count_nonzero(served & (done <= t)) + np.count_nonzero(done0 <= t)),
+            arrivals=int(np.count_nonzero(arrival[waiting0:] <= t)),
+            left_buffer=int(np.count_nonzero(leave <= t)),
+            initial_virtual=waiting0,
+            initial_busy=done0.size,
+        ))
+    return snaps
 
 
 def run_replications(cfg: SimConfig) -> list[list[SystemSnapshot]]:

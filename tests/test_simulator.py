@@ -5,12 +5,12 @@ import pytest
 
 from fluidq.distributions import Deterministic, Exponential, HyperExponential, LogNormal, Uniform
 from fluidq.equilibrium import equilibrium_state
-from fluidq.fluid import (FluidConfig, InitialCondition, TabulatedProfile, solve,
-                          validate_initial)
+from fluidq.fluid import (EquilibriumShaped, FluidConfig, InitialCondition, TabulatedProfile,
+                          solve, validate_initial)
 from fluidq.measures import TailMeasure
 from fluidq.simulator import (
     SimConfig,
-    _Engine,
+    _customers,
     compare_to_fluid,
     fluid_scale,
     gc_diagnostic,
@@ -104,17 +104,24 @@ def test_policy_constraints_and_conservation():
         assert snap.virtual_size == snap.initial_virtual + snap.arrivals - snap.left_buffer
 
 
+def test_waiting_customers_leave_no_server_idle_from_a_nearly_full_start():
+    # busy mass 1 - 5e-10 passes validation next to a positive queue and seeds floor(n z)
+    # = n - 1 busy servers; the idle one must take the buffer's head, not the next arrival
+    fc = FluidConfig(arrival_rate=1.5, patience=Exponential(1.0), service=Exponential(1.0))
+    init = validate_initial(fc, InitialCondition(0.5, EquilibriumShaped(1.0 - 5e-10)))
+    n = 200
+    cfg = _mmnm_config(n, lam=1.5, horizon=2.0, snapshots=np.arange(9) * 0.25, initial=init)
+    snaps = run(cfg)
+    assert snaps[0].initial_virtual == 100 and snaps[0].initial_busy == n - 1
+    for snap in snaps:
+        assert snap.queue_size == 0 or snap.busy_servers == n, snap.time
+
+
 def test_fcfs_service_starts_are_ordered():
-    engine = _Engine(_mmnm_config(3, lam=2.0, snapshots=(10.0,)), 0)
-    started = []  # (arrival, start) per service start, in event order
-    start_service = engine._start_service
-
-    def record(entry, now):
-        started.append((entry[0], now))
-        start_service(entry, now)
-
-    engine._start_service = record
-    snap = engine.run()[0]
+    cfg = _mmnm_config(3, lam=2.0, snapshots=(10.0,))
+    _, _, arrival, _, _, leave, served = _customers(cfg, 0)
+    started = list(zip(arrival[served], leave[served]))  # (arrival, start) per start, FIFO
+    snap = run(cfg)[0]
     assert snap.abandoned > 0  # customers reneged while others waited
     assert sum(s > a for a, s in started) > 10  # and many started after a wait
     arrivals = [a for a, _ in started]
@@ -130,12 +137,16 @@ def test_completion_heap_holds_exactly_the_busy_servers():
     n = 40
     cfg = SimConfig(n, Exponential(n * 1.5), patience, service, horizon=3.0,
                     snapshot_times=tuple(np.arange(13) * 0.25), seed=8, initial=init)
-    engine = _Engine(cfg, 0)
-    for t in cfg.snapshot_times:
-        engine._pump(t)
-        snap = engine._snapshot(t)
-        assert len(engine.busy) == snap.busy_servers == n - engine.idle
-        assert all(done > t for done in engine.busy)
+    done0, _, _, _, service, leave, served = _customers(cfg, 0)
+    starts = np.concatenate((np.zeros(done0.size), leave[served]))
+    ends = np.concatenate((done0, (leave + service)[served]))
+    for t, snap in zip(cfg.snapshot_times, run(cfg)):
+        busy = ends[(starts <= t) & (t < ends)]  # completion times of the servers busy at t
+        # idle: the servers not seeded busy, plus those freed, less those taken
+        idle = (n - done0.size + np.count_nonzero(ends <= t)
+                - np.count_nonzero(starts[done0.size:] <= t))
+        assert len(busy) == snap.busy_servers == n - idle
+        assert all(done > t for done in busy)
 
 
 def test_determinism_same_seed_and_index():
@@ -200,7 +211,7 @@ def test_seeded_completions_are_positive_quantiles_of_the_exact_law():
     n = 400
     cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), service, horizon=1.0,
                     snapshot_times=(1.0,), initial=init)
-    done = np.sort(_Engine(cfg, 0).busy)
+    done = np.sort(_customers(cfg, 0)[0])
     assert done.size == n and done[0] > 0.0
     assert done[-1] > cfg.horizon  # not clamped to a probe range
     np.testing.assert_allclose(service.equilibrium_cdf(done), (np.arange(n) + 0.5) / n,
@@ -210,8 +221,8 @@ def test_seeded_completions_are_positive_quantiles_of_the_exact_law():
 def test_seeded_buffer_arrived_in_order_over_the_offered_wait():
     state, init = _equilibrium_start(1.5, Exponential(1.0), Exponential(1.0))
     assert init.wait0 == pytest.approx(state.offered_wait, rel=1e-12)
-    engine = _Engine(_mmnm_config(400, lam=1.5, initial=init), 0)
-    arrivals = np.array([arrival for arrival, _, _ in engine.buffer])  # from the FIFO head
+    arrival = _customers(_mmnm_config(400, lam=1.5, initial=init), 0)[2]
+    arrivals = arrival[:np.count_nonzero(arrival <= 0.0)]  # from the FIFO head
     assert arrivals.size == int(np.floor(400 * init.virtual0)) > 0
     assert -init.wait0 <= arrivals[0] and arrivals[-1] <= 0.0
     assert np.all(np.diff(arrivals) > 0.0)
@@ -223,7 +234,7 @@ def test_tabulated_profile_with_mass_past_its_grid_seeds_at_the_grid_end():
     fc = FluidConfig(arrival_rate=1.2, patience=Exponential(1.0), service=Exponential(1.0))
     init = validate_initial(fc, InitialCondition(0.0, TabulatedProfile(table)))
     n = 50
-    done = np.sort(_Engine(_mmnm_config(n, initial=init), 0).busy)
+    done = np.sort(_customers(_mmnm_config(n, initial=init), 0)[0])
     levels = 1.0 - (np.arange(n) + 0.5) / n
     below = levels < table.tails[-1]  # the last 20 levels
     assert below.sum() == 20
@@ -269,6 +280,21 @@ def test_stream_is_pinned_for_an_equilibrium_start():
         [((12, 13, 30, 1, 0, 0), "0x1.7a26ecbe041e5p+3", "0x1.d1b4cb7d6d5bbp+4"),
          ((17, 22, 30, 21, 30, 55), "0x1.24588decf7a32p+4", "0x1.7ab4062dbae41p+4"),
          ((8, 9, 30, 50, 95, 140), "0x1.1bbb2fab9a039p+3", "0x1.079346d9676aap+5")],
+    ]
+
+
+def test_stream_is_pinned_across_draw_blocks():
+    # ~3000 arrivals per replication: arrival times carry over a 2048-row block boundary
+    n = 400
+    cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0),
+                    horizon=5.0, snapshot_times=(1.0, 3.0, 5.0), seed=23, replications=2)
+    assert [_pins(rep) for rep in run_replications(cfg)] == [
+        [((4, 4, 400, 0, 185, 589), "0x1.c5a9c82cff048p+1", "0x1.4b20b44836cb8p+8"),
+         ((198, 235, 400, 197, 1009, 1804), "0x1.b5f81a239f19fp+7", "0x1.6634ab6474418p+8"),
+         ((180, 235, 400, 561, 1859, 3000), "0x1.6922d8be77964p+7", "0x1.9595699fa4564p+8")],
+        [((0, 0, 366, 0, 187, 553), "0x0.0p+0", "0x1.5b22aa0bb132fp+8"),
+         ((161, 181, 400, 149, 1004, 1714), "0x1.519d86a59d1a7p+7", "0x1.7121067e89087p+8"),
+         ((202, 251, 400, 521, 1813, 2936), "0x1.6c64656b88201p+7", "0x1.5fe11ea019807p+8")],
     ]
 
 
