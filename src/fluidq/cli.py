@@ -1,26 +1,28 @@
 """Command-line front end: config ingestion, experiment orchestration, CSV/JSON output.
 
 One JSON config file drives a run; --set key=value overrides individual
-fields for sweep scripting.  Exit codes: 0 success, 1 solver invariant
-violation, 2 missing config file, 3 malformed JSON, 4 unknown key,
-5 invalid input (mode/field mismatch, bad values, distributions or initial
-states, or a fluid step that does not converge).
+fields for sweep scripting.  MODE_KEYS is the one table of each mode's keys:
+it gives each key its default, or marks it required.  Exit codes: 0 success,
+1 solver invariant violation, 2 missing config file, 3 malformed JSON,
+4 unknown key, 5 invalid input (mode/field mismatch, bad values,
+distributions or initial states, or a fluid step that does not converge).
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import equilibrium as eq
 from . import expode, fluid, simulator
-from .distributions import DistributionError, DistributionSpec, Exponential, distribution_from_dict
+from .distributions import (DistributionError, DistributionSpec, Exponential,
+                            distribution_from_dict, is_finite_number)
 from .measures import uniform_probes
 
 EXIT_OK = 0
@@ -30,29 +32,27 @@ EXIT_MALFORMED = 3
 EXIT_UNKNOWN_KEY = 4
 EXIT_MODE_MISMATCH = 5
 
-MODES = ("fluid-solve", "equilibrium", "ode-check", "simulate", "compare", "gc-check")
+REQUIRED = object()  # a key the mode cannot run without
+OPTIONAL = object()  # a key with no default: its runner gives its absence a meaning
 
-_COMMON_KEYS = {"mode", "seed", "out"}
-_MODE_KEYS = {
-    "fluid-solve": {"arrival_rate", "patience", "service", "horizon", "dt", "tolerance",
-                    "initial", "profile_times", "probes"},
-    "equilibrium": {"arrival_rate", "patience", "service"},
-    "ode-check": {"rho", "alpha", "mu", "x0", "horizon", "dt"},
-    "simulate": {"arrival_rate", "patience", "service", "arrival", "n", "horizon", "dt",
-                 "snapshot_times", "replications", "initial"},
-    "compare": {"arrival_rate", "patience", "service", "arrival", "n", "horizon", "dt",
-                "snapshot_times", "replications", "initial", "probes"},
-    "gc-check": {"distribution", "sample_count"},
+_COMMON_KEYS = {"mode": REQUIRED, "seed": 12345, "out": "."}
+_LAWS = {"arrival_rate": REQUIRED, "patience": REQUIRED, "service": REQUIRED}
+_GRID = {"horizon": fluid.FluidConfig.horizon, "dt": fluid.FluidConfig.dt}
+# simulate and compare: "arrival" absent is a Poisson stream at arrival_rate
+_SIM_KEYS = {**_LAWS, **_GRID, "arrival": OPTIONAL, "n": REQUIRED, "replications": 20,
+             "initial": "empty"}
+MODE_KEYS = {
+    "fluid-solve": {**_LAWS, **_GRID, "tolerance": fluid.FluidConfig.tol, "initial": "empty",
+                    "profile_times": [], "probes": {}},
+    "equilibrium": _LAWS,
+    "ode-check": {"rho": REQUIRED, "alpha": REQUIRED, "mu": REQUIRED, "x0": 0.0, **_GRID},
+    # simulate: "snapshot_times" absent is [horizon]
+    "simulate": {**_SIM_KEYS, "snapshot_times": OPTIONAL},
+    "compare": {**_SIM_KEYS, "snapshot_times": REQUIRED, "probes": {}},
+    "gc-check": {"distribution": REQUIRED, "sample_count": 10_000},
 }
-_MODE_REQUIRED = {
-    "fluid-solve": {"arrival_rate", "patience", "service"},
-    "equilibrium": {"arrival_rate", "patience", "service"},
-    "ode-check": {"rho", "alpha", "mu"},
-    "simulate": {"arrival_rate", "patience", "service", "n"},
-    "compare": {"arrival_rate", "patience", "service", "n", "snapshot_times"},
-    "gc-check": {"distribution"},
-}
-_ALL_KEYS = _COMMON_KEYS | set().union(*_MODE_KEYS.values())
+MODES = tuple(MODE_KEYS)
+_ALL_KEYS = set(_COMMON_KEYS).union(*MODE_KEYS.values())
 _GRID_MODES = {"fluid-solve", "ode-check", "compare"}   # modes that march a dt grid
 # numeric fields, each with the least whole value it takes (None: any finite number)
 _NUMERIC_KEYS = {"arrival_rate": None, "horizon": None, "dt": None, "tolerance": None,
@@ -68,35 +68,13 @@ class ConfigError(Exception):
         self.exit_code = exit_code
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    raw: dict
-    out: str = "."
-
-    def __getitem__(self, key):
-        return self.raw[key]
-
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
-
-
-def _require(raw: dict, mode: str) -> None:
-    missing = sorted(_MODE_REQUIRED[mode] - set(raw))
-    if missing:
-        raise ConfigError(EXIT_MODE_MISMATCH,
-                          f"mode {mode!r} requires missing field(s): {', '.join(missing)}")
-
-
-def _number(value, what: str, least=None):
-    """value if it is a finite JSON number, and a whole one >= least when least is given."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if ok and least is not None:
-        ok = float(value).is_integer() and value >= least
+def _number(value, what: str, least=None) -> float:
+    """value as a float if it is a finite JSON number, and a whole one >= least when least is given."""
+    ok = is_finite_number(value) and (least is None or float(value).is_integer() and value >= least)
     if not ok:
         kind = "a finite number" if least is None else f"a whole number >= {least}"
         raise ConfigError(EXIT_MODE_MISMATCH, f"{what} must be {kind}, got {value!r}")
-    return value
+    return float(value)
 
 
 def _check_numbers(raw: dict) -> None:
@@ -116,7 +94,9 @@ def _off_grid(t: float, dt: float) -> bool:
 
 
 def _check_grid_alignment(raw: dict) -> None:
-    dt = float(raw.get("dt", 1e-3))
+    if "dt" not in raw:  # equilibrium and gc-check keep no time grid
+        return
+    dt = float(raw["dt"])
     if not dt > 0.0:
         raise ConfigError(EXIT_MODE_MISMATCH, f"dt must be positive, got {dt!r}")
     for key in ("snapshot_times", "profile_times"):
@@ -129,8 +109,8 @@ def _check_grid_alignment(raw: dict) -> None:
                           f"horizon {raw['horizon']!r} is not a multiple of dt={dt!r}")
 
 
-def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """Strict parse: unknown keys are errors; defaults are filled per mode."""
+def parse_config(path: str, overrides: dict | None = None) -> dict:
+    """Strict parse: unknown keys are errors; MODE_KEYS fills the mode's defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -151,41 +131,41 @@ def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(EXIT_MODE_MISMATCH, f"mode must be one of {MODES}, got {mode!r}")
-    allowed = _COMMON_KEYS | _MODE_KEYS[mode]
-    misplaced = sorted(set(raw) - allowed)
+    keys = {**_COMMON_KEYS, **MODE_KEYS[mode]}
+    misplaced = sorted(set(raw) - set(keys))
     if misplaced:
         raise ConfigError(EXIT_MODE_MISMATCH,
                           f"field(s) not applicable to mode {mode!r}: {', '.join(misplaced)}")
-    _require(raw, mode)
-
-    defaults = {"seed": 12345, "horizon": 10.0, "dt": 1e-3, "replications": 20}
-    for key, val in defaults.items():
-        if key in allowed or key in _COMMON_KEYS:
-            raw.setdefault(key, val)
+    missing = sorted(key for key, default in keys.items() if default is REQUIRED and key not in raw)
+    if missing:
+        raise ConfigError(EXIT_MODE_MISMATCH,
+                          f"mode {mode!r} requires missing field(s): {', '.join(missing)}")
+    for key, default in keys.items():
+        if default is not REQUIRED and default is not OPTIONAL:
+            raw.setdefault(key, copy.deepcopy(default))
+    if not (isinstance(raw["out"], str) and raw["out"]):
+        raise ConfigError(EXIT_MODE_MISMATCH, f"out must be a directory name, got {raw['out']!r}")
     _check_numbers(raw)
     _check_grid_alignment(raw)
-    return RunConfig(mode=mode, raw=raw, out=str(raw.get("out", ".")))
+    return raw
 
 
-def _dist(raw, key) -> DistributionSpec:
+def _dist(cfg: dict, key: str) -> DistributionSpec:
     try:
-        return distribution_from_dict(raw[key])
+        return distribution_from_dict(cfg[key])
     except DistributionError as exc:
         raise ConfigError(EXIT_MODE_MISMATCH, f"invalid {key!r} distribution: {exc}") from exc
 
 
-def _probes(cfg: RunConfig) -> np.ndarray:
-    spec = cfg.get("probes", {}) or {}
-    if not isinstance(spec, dict):
-        raise ConfigError(EXIT_MODE_MISMATCH, f"probes must be an object, got {spec!r}")
-    horizon = float(cfg.get("horizon", 10.0))
-    lo = _number(spec.get("lo", -horizon), "probes lo")
-    hi = _number(spec.get("hi", horizon), "probes hi")
-    count = _number(spec.get("count", 512), "probes count", least=2)
-    try:
-        return uniform_probes(float(lo), float(hi), int(count))
-    except ValueError as exc:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid probes: {exc}") from exc
+def _probes(cfg: dict) -> np.ndarray:
+    spec = cfg["probes"] or {}
+    if not (isinstance(spec, dict) and set(spec) <= {"lo", "hi", "count"}):
+        raise ConfigError(EXIT_MODE_MISMATCH,
+                          f"probes must be an object with keys lo, hi and count, got {spec!r}")
+    horizon = float(cfg["horizon"])
+    return uniform_probes(_number(spec.get("lo", -horizon), "probes lo"),
+                          _number(spec.get("hi", horizon), "probes hi"),
+                          int(_number(spec.get("count", 512), "probes count", least=2)))
 
 
 def _fmt(value) -> str:
@@ -204,8 +184,8 @@ _SERVER_SHAPES = {"equilibrium-shaped": fluid.EquilibriumShaped,
                   "service-complement": fluid.ServiceComplementShaped}
 
 
-def _initial_condition(cfg: RunConfig, fc: fluid.FluidConfig) -> fluid.InitialCondition:
-    spec = cfg.get("initial")
+def _initial_condition(cfg: dict, fc: fluid.FluidConfig) -> fluid.InitialCondition:
+    spec = cfg["initial"]
     if spec in (None, "empty"):
         return fluid.InitialCondition()
     if spec in ("equilibrium", {"kind": "equilibrium"}):
@@ -219,19 +199,17 @@ def _initial_condition(cfg: RunConfig, fc: fluid.FluidConfig) -> fluid.InitialCo
     if kind == "empty":
         profile = fluid.EMPTY_SERVERS
     else:
-        z = _number(profile_spec.get("z"), f"{kind} server profile z")
-        profile = _SERVER_SHAPES[kind](float(z))
+        profile = _SERVER_SHAPES[kind](_number(profile_spec.get("z"), f"{kind} server profile z"))
     r0 = _number(spec.get("r0", 0.0), "initial r0")
-    return fluid.InitialCondition(virtual_buffer_mass=float(r0), server_profile=profile)
+    return fluid.InitialCondition(virtual_buffer_mass=r0, server_profile=profile)
 
 
-def _fluid_model(cfg: RunConfig):
+def _fluid_model(cfg: dict, **options):
     """The fluid config and its validated initial state, which also seeds the simulator."""
     fc = fluid.FluidConfig(
         arrival_rate=float(cfg["arrival_rate"]),
-        patience=_dist(cfg.raw, "patience"), service=_dist(cfg.raw, "service"),
-        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
-        tol=float(cfg.get("tolerance", 1e-10)),
+        patience=_dist(cfg, "patience"), service=_dist(cfg, "service"),
+        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]), **options,
     )
     return fc, fluid.validate_initial(fc, _initial_condition(cfg, fc))
 
@@ -239,76 +217,64 @@ def _fluid_model(cfg: RunConfig):
 # -- mode runners ---------------------------------------------------------------
 
 
-def _run_fluid_solve(cfg: RunConfig, out: str) -> int:
-    sol = fluid.solve(*_fluid_model(cfg))
+def _run_fluid_solve(cfg: dict, out: str) -> None:
+    probes = _probes(cfg)
+    sol = fluid.solve(*_fluid_model(cfg, tol=float(cfg["tolerance"])))
     _write_csv(os.path.join(out, "trajectory.csv"), ["t", "X", "Q", "Z", "R", "B"],
                np.column_stack((sol.times, sol.system, sol.queue, sol.busy, sol.virtual,
                                 sol.scheduled)).tolist())
-    probes = _probes(cfg)
-    times = [float(t) for t in cfg.get("profile_times", [])]
+    times = [float(t) for t in cfg["profile_times"]]
     for t, profiles in zip(times, sol.profiles(times, probes)):
         _write_csv(os.path.join(out, f"profiles_t{t:g}.csv"),
                    ["x", "buffer_tail", "server_tail"],
                    np.column_stack((probes, profiles.buffer.tail_at(probes),
                                     profiles.server.tail_at(probes))).tolist())
-    return EXIT_OK
 
 
-def _run_equilibrium(cfg: RunConfig, out: str) -> int:
+def _run_equilibrium(cfg: dict, out: str) -> None:
     state = eq.equilibrium_state(
-        float(cfg["arrival_rate"]), _dist(cfg.raw, "patience"), _dist(cfg.raw, "service"))
+        float(cfg["arrival_rate"]), _dist(cfg, "patience"), _dist(cfg, "service"))
     doc = state.to_json_dict()
     with open(os.path.join(out, "equilibrium.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(doc, sort_keys=True))
-    return EXIT_OK
 
 
-def _run_ode_check(cfg: RunConfig, out: str) -> int:
-    try:
-        oc = expode.ExpOdeConfig(
-            service_rate=float(cfg["mu"]), patience_rate=float(cfg["alpha"]),
-            traffic_intensity=float(cfg["rho"]), x0=float(cfg.get("x0", 0.0)),
-            horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid ode-check config: {exc}") from exc
-    result = expode.cross_check(oc)
+def _run_ode_check(cfg: dict, out: str) -> None:
+    result = expode.cross_check(expode.ExpOdeConfig(
+        service_rate=float(cfg["mu"]), patience_rate=float(cfg["alpha"]),
+        traffic_intensity=float(cfg["rho"]), x0=float(cfg["x0"]),
+        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
+    ))
     _write_csv(os.path.join(out, "ode_check.csv"), ["t", "X_ode", "X_fluid", "diff"],
                np.column_stack((result.times, result.ode, result.fluid,
                                 np.abs(result.fluid - result.ode))).tolist())
     print(f"sup_diff = {result.sup_diff:.6e}")
-    return EXIT_OK
 
 
-def _snapshot_times(cfg: RunConfig) -> tuple:
-    return tuple(float(t) for t in cfg.get("snapshot_times", [float(cfg["horizon"])]))
+def _snapshot_times(cfg: dict) -> tuple:
+    return tuple(float(t) for t in cfg.get("snapshot_times", [cfg["horizon"]]))
 
 
-def _sim_configs(cfg: RunConfig, fc: fluid.FluidConfig, init: fluid.ValidatedInitial):
+def _sim_configs(cfg: dict, fc: fluid.FluidConfig, init: fluid.ValidatedInitial):
     """One simulator config per n, each seeded from the fluid start state."""
-    base_arrival = (_dist(cfg.raw, "arrival") if "arrival" in cfg.raw
-                    else Exponential(fc.arrival_rate))
+    base_arrival = _dist(cfg, "arrival") if "arrival" in cfg else Exponential(fc.arrival_rate)
     ns = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
     for n in map(int, ns):
-        try:
-            sim_cfg = simulator.SimConfig(
-                num_servers=n,
-                interarrival=base_arrival.time_scaled(1.0 / n),
-                patience=fc.patience, service=fc.service,
-                horizon=fc.horizon,
-                snapshot_times=_snapshot_times(cfg),
-                seed=int(cfg["seed"]),
-                replications=int(cfg["replications"]),
-                initial=init,
-            )
-        except ValueError as exc:
-            raise ConfigError(EXIT_MODE_MISMATCH, f"invalid simulation config: {exc}") from exc
-        yield n, sim_cfg
+        yield n, simulator.SimConfig(
+            num_servers=n,
+            interarrival=base_arrival.time_scaled(1.0 / n),
+            patience=fc.patience, service=fc.service,
+            horizon=fc.horizon,
+            snapshot_times=_snapshot_times(cfg),
+            seed=int(cfg["seed"]),
+            replications=int(cfg["replications"]),
+            initial=init,
+        )
 
 
-def _run_simulate(cfg: RunConfig, out: str) -> int:
+def _run_simulate(cfg: dict, out: str) -> None:
     for n, sim_cfg in _sim_configs(cfg, *_fluid_model(cfg)):
         reps = simulator.run_replications(sim_cfg)
         for i, rep in enumerate(reps):
@@ -322,10 +288,9 @@ def _run_simulate(cfg: RunConfig, out: str) -> int:
             _write_csv(os.path.join(out, f"sim_n{n}_rep{i:03d}.csv"),
                        ["t", "Q", "R", "Z", "X", "abandoned", "completed",
                         "Q_scaled", "R_scaled", "Z_scaled", "X_scaled"], rows)
-    return EXIT_OK
 
 
-def _run_compare(cfg: RunConfig, out: str) -> int:
+def _run_compare(cfg: dict, out: str) -> None:
     probes = _probes(cfg)
     fc, init = _fluid_model(cfg)
     sol = fluid.solve(fc, init)
@@ -349,23 +314,17 @@ def _run_compare(cfg: RunConfig, out: str) -> int:
     _write_csv(os.path.join(out, "compare_report.csv"),
                ["n", "t", "mean_dist_buffer", "max_dist_buffer", "mean_dist_server",
                 "max_dist_server", "mean_absQ", "mean_absZ"], rows + summaries)
-    return EXIT_OK
 
 
-def _run_gc_check(cfg: RunConfig, out: str) -> int:
-    dist = _dist(cfg.raw, "distribution")
-    count = int(cfg.get("sample_count", 10_000))
-    try:
-        stat = simulator.gc_diagnostic(dist, count, int(cfg["seed"]))
-    except ValueError as exc:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid gc-check config: {exc}") from exc
+def _run_gc_check(cfg: dict, out: str) -> None:
+    count = int(cfg["sample_count"])
+    stat = simulator.gc_diagnostic(_dist(cfg, "distribution"), count, int(cfg["seed"]))
     doc = {"family": cfg["distribution"]["family"], "sample_count": count,
            "statistic": stat, "ks_bound_95": 1.36 / math.sqrt(count)}
     with open(os.path.join(out, "gc_check.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"gc_statistic = {stat:.6e}")
-    return EXIT_OK
 
 
 _RUNNERS = {
@@ -376,24 +335,6 @@ _RUNNERS = {
     "compare": _run_compare,
     "gc-check": _run_gc_check,
 }
-
-
-def execute(cfg: RunConfig, out_dir: str | None = None) -> int:
-    """Dispatch a parsed config; returns the process exit code."""
-    out = out_dir or cfg.out
-    os.makedirs(out, exist_ok=True)
-    try:
-        return _RUNNERS[cfg.mode](cfg, out)
-    except fluid.InvariantViolationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVARIANT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (fluid.FluidModelError, fluid.NoConvergenceError, DistributionError,
-            eq.EquilibriumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODE_MISMATCH
 
 
 def _parse_override(text: str):
@@ -407,6 +348,7 @@ def _parse_override(text: str):
 
 
 def main(argv=None) -> int:
+    """Parse, run the mode, and map every error to its exit code and one stderr line."""
     parser = argparse.ArgumentParser(prog="fluidq", description=__doc__)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -414,12 +356,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
     args = parser.parse_args(argv)
     try:
-        overrides = dict(_parse_override(s) for s in args.set)
-        cfg = parse_config(args.config, overrides)
-        return execute(cfg, args.out)
-    except ConfigError as exc:
+        cfg = parse_config(args.config, dict(_parse_override(s) for s in args.set))
+        out = args.out or cfg["out"]
+        os.makedirs(out, exist_ok=True)
+        _RUNNERS[cfg["mode"]](cfg, out)
+        return EXIT_OK
+    except fluid.InvariantViolationError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INVARIANT
+    except (ConfigError, ValueError, fluid.NoConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return exc.exit_code if isinstance(exc, ConfigError) else EXIT_MODE_MISMATCH
 
 
 if __name__ == "__main__":

@@ -382,15 +382,19 @@ _FAMILIES = {
 }
 
 
+def is_finite_number(value) -> bool:
+    """Whether value is a finite JSON number: a bool is not one, nor an int beyond the float
+    range."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(value, name: str) -> float:
-    """A parameter that is a finite JSON number (a bool is not one), as a float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-    raise DistributionError(f"distribution parameter {name!r} must be a finite number, got {value!r}")
+    if not is_finite_number(value):
+        raise DistributionError(f"distribution parameter {name!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _numbers(value, name: str) -> list:

@@ -63,6 +63,8 @@ def equilibrium_state(arrival_rate: float, patience: DistributionSpec,
     upper end is where it reaches the next float past the target, so that a
     flat stretch of the CDF at the target level lies inside the bracket.
     """
+    if not arrival_rate > 0.0:
+        raise EquilibriumError("arrival_rate must be positive")
     service.validate_as_service()
     rho = arrival_rate * service.mean
     w = w_hi = 0.0

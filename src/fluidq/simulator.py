@@ -112,6 +112,8 @@ def _arrivals(cfg: SimConfig, rng: np.random.Generator, arrival_times, until: fl
         laws = (cfg.interarrival, *laws)
     else:
         arrival = np.array(sorted(map(float, arrival_times)))
+        if not np.all(arrival >= 0.0):
+            raise ValueError("scheduled arrival times must be nonnegative")
         arrival = arrival[:np.searchsorted(arrival, until, side="right")]
     blocks, last = [], 0.0
     while last <= until if arrival_times is None else len(blocks) * _BLOCK <= arrival.size:
@@ -154,7 +156,7 @@ def run(cfg: SimConfig, replication_index: int = 0, arrival_times=None) -> list[
     """One replication; identical (config, seed, index) gives identical snapshots.
 
     arrival_times, when given, replaces the renewal stream with an explicit
-    schedule (deterministic trace runs).
+    schedule of times >= 0 (deterministic trace runs); a negative time raises ValueError.
     """
     done0, waiting0, arrival, patience, service, leave, served = _customers(
         cfg, replication_index, arrival_times)

@@ -22,7 +22,7 @@ def test_parse_minimal_fluid_solve_fills_defaults(tmp_path):
     path = _write_config(tmp_path, {"mode": "fluid-solve", "arrival_rate": 1.0,
                                     "patience": EXP, "service": EXP})
     cfg = cli.parse_config(path)
-    assert cfg.mode == "fluid-solve"
+    assert cfg["mode"] == "fluid-solve"
     assert cfg["dt"] == 1e-3
     assert cfg["horizon"] == 10.0
     assert cfg["seed"] == 12345
@@ -158,6 +158,18 @@ EXIT_CASES = {
                                     cli.EXIT_MODE_MISMATCH),
     "ode-check rate not positive": ({"mode": "ode-check", "rho": 1.0, "alpha": 1.0, "mu": 0.0,
                                      "horizon": 1.0}, cli.EXIT_MODE_MISMATCH),
+    "arrival rate beyond the float range": ({**_SOLVE, "arrival_rate": 10 ** 400},
+                                            cli.EXIT_MODE_MISMATCH),
+    "server count beyond the float range": ({**_SIM, "n": 10 ** 400}, cli.EXIT_MODE_MISMATCH),
+    "probe count beyond the float range": ({**_SOLVE, "probes": {"count": 10 ** 400}},
+                                           cli.EXIT_MODE_MISMATCH),
+    "compare without snapshots": ({**_SIM, "mode": "compare", "n": [4], "snapshot_times": []},
+                                  cli.EXIT_MODE_MISMATCH),
+    "equilibrium arrival rate not positive": ({"mode": "equilibrium", "arrival_rate": -1.5,
+                                               "patience": EXP, "service": EXP},
+                                              cli.EXIT_MODE_MISMATCH),
+    "probes key misspelled": ({**_SOLVE, "probes": {"cnt": 8}}, cli.EXIT_MODE_MISMATCH),
+    "out null": ({**_SOLVE, "out": None}, cli.EXIT_MODE_MISMATCH),
 }
 
 
@@ -171,6 +183,36 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+_MINIMAL = {  # each mode with exactly its required keys
+    "fluid-solve": {"arrival_rate": 1.2, "patience": EXP, "service": EXP},
+    "equilibrium": {"arrival_rate": 1.2, "patience": EXP, "service": EXP},
+    "ode-check": {"rho": 1.2, "alpha": 1.0, "mu": 1.0},
+    "simulate": {"arrival_rate": 1.2, "patience": EXP, "service": EXP, "n": 4},
+    "compare": {"arrival_rate": 1.2, "patience": EXP, "service": EXP, "n": [4],
+                "snapshot_times": [1.0]},
+    "gc-check": {"distribution": EXP},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MINIMAL))
+def test_required_keys_suffice_to_parse(mode, tmp_path):
+    cfg = cli.parse_config(_write_config(tmp_path, {"mode": mode, **_MINIMAL[mode]}))
+    assert set(cfg) == {"mode", "seed", "out"} | {
+        key for key, default in cli.MODE_KEYS[mode].items() if default is not cli.OPTIONAL}
+
+
+@pytest.mark.parametrize("mode,key", [(mode, key) for mode in sorted(_MINIMAL)
+                                      for key in _MINIMAL[mode]])
+def test_dropping_a_required_key_exits_5_and_names_it(mode, key, tmp_path, capsys):
+    doc = {"mode": mode, **_MINIMAL[mode]}
+    del doc[key]
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["--config", path, "--out", str(tmp_path)]) == cli.EXIT_MODE_MISMATCH
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.rstrip().endswith(f"requires missing field(s): {key}")
 
 
 _SEEDED = {"arrival_rate": 1.5, "patience": EXP, "service": EXP, "n": [40, 160],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fluidq.distributions import Exponential, HyperExponential, LogNormal, Uniform
-from fluidq.equilibrium import equilibrium_state
+from fluidq.equilibrium import EquilibriumError, equilibrium_state
 from fluidq.fluid import EquilibriumShaped, FluidConfig, solve, virtual_buffer_tail
 
 PROBES = np.linspace(-6.0, 10.0, 257)
@@ -45,6 +45,13 @@ def test_offered_wait_bounded_patience_support():
     # rho = 2 with Uniform(0,2) patience: F(w) = w/2 = 1/2 -> w = 1
     state = equilibrium_state(2.0, Uniform(0.0, 2.0), Exponential(1.0))
     assert state.offered_wait == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("arrival_rate", [0.0, -1.5, math.nan])
+def test_equilibrium_state_rejects_an_arrival_rate_that_is_not_positive(arrival_rate):
+    # as FluidConfig does: a negative rate would give Z_inf = rho < 0
+    with pytest.raises(EquilibriumError, match="arrival_rate must be positive"):
+        equilibrium_state(arrival_rate, Exponential(1.0), Exponential(1.0))
 
 
 def test_equilibrium_state_underloaded():

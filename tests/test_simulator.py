@@ -323,6 +323,15 @@ def _snapshot_values(snap):
              for m in (snap.buffer_measure, snap.server_measure)])
 
 
+def test_negative_schedule_times_are_rejected():
+    # the servers are free from 0, so a customer arrived before 0 has no server to take it
+    cfg = SimConfig(1, Deterministic(1.0), Deterministic(0.5), Deterministic(1.0), horizon=2.0,
+                    snapshot_times=(0.0, 2.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(cfg, arrival_times=[-1.0, 0.2])
+    assert run(cfg, arrival_times=[0.0, 0.2])[-1].completed == 1
+
+
 def test_arrival_schedule_is_taken_in_time_order():
     cfg = SimConfig(3, Exponential(1.0), Exponential(1.0), Exponential(0.8), horizon=6.0,
                     snapshot_times=(1.0, 2.5, 6.0), seed=11)
