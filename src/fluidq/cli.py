@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     except fluid.InvariantViolationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVARIANT
-    except (ConfigError, ValueError, fluid.NoConvergenceError) as exc:
+    except (ConfigError, ValueError, fluid.NoConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, ConfigError) else EXIT_MODE_MISMATCH
 

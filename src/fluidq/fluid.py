@@ -5,11 +5,14 @@ driven by the service distribution, its equilibrium distribution, and the
 patience distribution through the survival map H.  The solver marches a
 uniform time grid: convolution integrals are Lebesgue-Stieltjes sums with
 exact CDF increments over the grid cells, the integrand taken at the newest
-grid value.  The final cell is solved for the offered wait w by a bracketed
-Newton iteration; the queue lambda * F_d(w), the survival sf(w), the
-virtual buffer lambda * w and X follow from w directly.  The busy-server
-and scheduled masses follow in closed form, and measure-valued
-buffer/server profiles can be materialized at any grid time.
+grid value.  The final cell is solved for the offered wait w; the queue
+lambda * F_d(w), the survival sf(w), the virtual buffer lambda * w and X
+follow from w directly.  The march takes a window of steps at a time: the
+history before the window is one convolution per law, the history inside it
+one triangular Toeplitz product, and Picard sweeps solve every step of the
+window by one vectorized bracketed Newton iteration until the history sums
+settle.  The busy-server and scheduled masses follow in closed form, and
+measure-valued buffer/server profiles can be materialized at any grid time.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ class InvariantViolationError(RuntimeError):
 
 _INNER_CAP = 50
 _PROFILE_CELLS = 1 << 20   # cells of one service.sf block in FluidSolution.profiles
+_WINDOW = 128              # fluid steps solve takes together in one window of sweeps
+_SETTLED = 1e-13           # a window's sweeps stop once no base moves by more
+_FINAL_PASSES = 2          # re-base + Newton step passes that end a window
 
 
 @dataclass(frozen=True)
@@ -253,8 +259,8 @@ class FluidSolution:
     busy: np.ndarray        # Z = X ^ 1
     virtual: np.ndarray     # R
     scheduled: np.ndarray   # B = arrival_rate * t - R
-    inner_iterations: int = 0        # step-equation evaluations over the march
-    max_step_residual: float = 0.0   # worst accepted |g| of a step
+    inner_iterations: int = 0        # step-equation evaluations, summed over steps and sweeps
+    max_step_residual: float = 0.0   # worst |g| of a step after its window's final pass
 
     def grid_index(self, t: float) -> int:
         k = int(round(t / self.config.dt))
@@ -316,19 +322,57 @@ class FluidSolution:
 # -- solver ---------------------------------------------------------------------
 
 
-def _reversed_increments(cfg: FluidConfig, times: np.ndarray):
-    """Grid increments of Ge and G, newest-first: entry -1 - m is cell m's increment.
+def _increments(cfg: FluidConfig, times: np.ndarray) -> np.ndarray:
+    """Exact grid-cell increments of Ge (row 0) and G (row 1); column m is cell m's."""
+    return np.diff([cfg.service.equilibrium_cdf(times), cfg.service.cdf(times)])
 
-    The history sums pair the value at step j with the increment of cell
-    k - j; reversed once, both arrays are read as contiguous slices.
+
+def _newton(patience: DistributionSpec, a: float, b: float, base, w, fd, sf, todo,
+            tol: float, strict: bool) -> int:
+    """Bracketed Newton on g(w) = a F_d(w) + 1 - base - b sf(w) = 0 at the entries todo.
+
+    Each of them has g(0) < 0.  w holds the starts, fd and sf the integrated
+    patience survival and the survival there; all three are updated in place.
+    An entry stops at |g| <= tol, and a Newton step that leaves its bracket
+    falls back to bisection, or to doubling while no upper bound is known.
+    Past the patience support g is flat, so an entry still below its root
+    there has none: with strict bases that breaks Q <= lambda N_F; with
+    provisional ones the entry is left where it is for the next sweep.
+    Returns the step-equation evaluations made.
     """
-    ge = np.asarray(cfg.service.equilibrium_cdf(times))
-    g = np.asarray(cfg.service.cdf(times))
-    return np.ascontiguousarray(np.diff(ge)[::-1]), np.ascontiguousarray(np.diff(g)[::-1])
+    lo = np.zeros(w.size)
+    hi = np.full(w.size, math.inf)
+    evaluations = 0
+    for _ in range(_INNER_CAP):
+        g = a * fd[todo] + 1.0 - base[todo] - b * sf[todo]
+        evaluations += todo.size
+        open_ = np.abs(g) > tol
+        todo, g = todo[open_], g[open_]
+        if not todo.size:
+            return evaluations
+        wt = w[todo]
+        below = g < 0.0
+        lo[todo] = np.where(below, wt, lo[todo])
+        hi[todo] = np.where(below, hi[todo], wt)
+        l, h = lo[todo], hi[todo]
+        slope = a * sf[todo] + b * np.asarray(patience.pdf(wt))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = wt - g / slope   # not finite where g' vanishes
+        inside = (l < newton) & (newton < h)
+        flat = ~inside & (h == math.inf) & (wt >= patience.support_end)
+        if flat.any():
+            if strict:
+                raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
+            todo, wt, inside, l, h, newton = (v[~flat] for v in (todo, wt, inside, l, h, newton))
+        wt = np.where(inside, newton, np.where(h < math.inf, 0.5 * (l + h), 2.0 * wt))
+        w[todo] = wt
+        fd[todo] = patience.integrated_sf(wt)
+        sf[todo] = patience.sf(wt)
+    raise NoConvergenceError("no-convergence: inner Newton iteration exceeded its cap")
 
 
 def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = None) -> FluidSolution:
-    """March the fluid fixed-point equation over the grid.
+    """March the fluid fixed-point equation over the grid, a window of steps at a time.
 
     Each step solves for the offered wait w, from which the queue
     Q = arrival_rate * integrated_sf(w), the survival H = sf(w), the system
@@ -339,10 +383,20 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
 
     with F_d the integrated patience survival and base the initial load plus
     the history sums, is increasing in w.  If g(0) >= 0 the queue is empty
-    and X follows in closed form; otherwise a Newton iteration bracketed in
-    w, started from the linear extrapolation of the last two waits, runs
-    until |g| <= cfg.tol, falling back to bisection (or to doubling while no
-    upper bound is known) when a step leaves the bracket or g' vanishes.
+    and X follows in closed form; otherwise _newton finds the root.
+
+    The steps are solved _WINDOW at a time.  A window's base splits into the
+    far history of the steps before it, one convolution per law, and the
+    near history of its own steps, one lower-triangular Toeplitz product of
+    the increments per law.  Picard sweeps alternate the two: bases from the
+    current values, then every step's root at once, starting from the last
+    waits.  The first sweep starts from the waits of the last two steps,
+    extrapolated.  The sweeps stop when the bases move by at most _SETTLED;
+    only in that sweep does a root past the patience support raise.  Then
+    _FINAL_PASSES passes of a re-base at the final values and one more
+    Newton step per queued step put |g| far below cfg.tol.  inner_iterations
+    sums every step's step-equation evaluations over all sweeps and final
+    passes; max_step_residual is the worst |g| after the last pass.
 
     Raises DistributionError if the service law has atoms or the patience
     law neither a Lipschitz CDF nor a bounded hazard, NoConvergenceError if
@@ -362,12 +416,16 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     patience = cfg.patience
     steps = int(round(cfg.horizon / cfg.dt))
     times = np.arange(steps + 1) * cfg.dt
-    rev_ge, rev_g = _reversed_increments(cfg, times)
+    inc = _increments(cfg, times)
     load = np.asarray(initial_load(cfg, init, times))
-    a = lam * (1.0 - rev_g[-1])     # g'(w) = a sf(w) + b pdf(w)
-    b = rho * rev_ge[-1]
+    a = lam * (1.0 - inc[1, 0])     # g'(w) = a sf(w) + b pdf(w)
+    b = rho * inc[0, 0]
     sf0 = float(patience.sf(0.0))
-    slope0 = a * sf0 + b * float(patience.pdf(0.0))
+    near = np.zeros((2, _WINDOW, _WINDOW))   # row r, column s < r: cell r - s
+    for r in range(1, min(_WINDOW, steps)):
+        near[:, r, :r] = inc[:, r:0:-1]
+    near[0] *= rho
+    near[1] *= lam                  # the G history reads Q = lam F_d
 
     x = np.empty(steps + 1)
     qv = np.empty(steps + 1)     # queue at grid values
@@ -379,49 +437,53 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     iterations = 0
     worst = 0.0
 
-    for k in range(1, steps + 1):
-        base = (load[k]
-                + rho * np.dot(surv[1:k], rev_ge[steps - k:steps - 1])
-                + np.dot(qv[1:k], rev_g[steps - k:steps - 1]))
-        g0 = 1.0 - base - b * sf0
-        if g0 >= 0.0:
-            x[k] = base + b * sf0
-            qv[k] = 0.0
-            surv[k] = sf0
-            wait[k] = 0.0
-            continue
-        lo, hi = 0.0, math.inf
-        w = 2.0 * wait[k - 1] - wait[max(k - 2, 0)]
-        if not w > lo:  # one Newton step from w = 0, where g is already known
-            w = -g0 / slope0 if slope0 > 0.0 else cfg.dt
-        for _ in range(_INNER_CAP):
-            fd = patience.integrated_sf(w)
-            sf = patience.sf(w)
-            g = a * fd + 1.0 - base - b * sf
-            iterations += 1
-            if abs(g) <= cfg.tol:
+    for k0 in range(1, steps + 1, _WINDOW):
+        k1 = min(k0 + _WINDOW, steps + 1)
+        m = k1 - k0
+        far = load[k0:k1].copy()
+        if k0 > 1:
+            far += (rho * np.convolve(inc[0, 1:k1 - 1], surv[1:k0], "valid")
+                    + np.convolve(inc[1, 1:k1 - 1], qv[1:k0], "valid"))
+        ge_near, g_near = near[:, :m, :m]
+        trend = wait[k0 - 1] - wait[max(k0 - 2, 0)]
+        w = np.maximum(wait[k0 - 1] + trend * np.arange(1, m + 1), 0.0)
+        fd = patience.integrated_sf(w)
+        sf = patience.sf(w)
+        previous = None
+        for _ in range(m + 1):   # row r's base is final after r + 1 sweeps
+            base = far + ge_near @ sf + g_near @ fd
+            settled = previous is not None and float(np.max(np.abs(base - previous))) <= _SETTLED
+            queued = 1.0 - base - b * sf0 < 0.0
+            w[~queued], fd[~queued], sf[~queued] = 0.0, 0.0, sf0
+            iterations += _newton(patience, a, b, base, w, fd, sf, np.flatnonzero(queued),
+                                  cfg.tol, settled)
+            if settled:
                 break
-            if g < 0.0:
-                lo = w
-            else:
-                hi = w
-            slope = a * sf + b * patience.pdf(w)
-            newton = w - g / slope if slope > 0.0 else math.nan
-            if lo < newton < hi:
-                w = newton
-            elif hi < math.inf:
-                w = 0.5 * (lo + hi)
-            elif w >= patience.support_end:  # g is flat and negative past the support
-                raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
-            else:
-                w = 2.0 * w
+            previous = base
         else:
-            raise NoConvergenceError("no-convergence: inner Newton iteration exceeded its cap")
-        worst = max(worst, abs(g))
-        x[k] = 1.0 + lam * fd
-        qv[k] = x[k] - 1.0
-        surv[k] = sf
-        wait[k] = w
+            raise NoConvergenceError("no-convergence: window sweeps did not settle")
+
+        for _ in range(_FINAL_PASSES):
+            base = far + ge_near @ sf + g_near @ fd
+            queued = 1.0 - base - b * sf0 < 0.0
+            g = a * fd + 1.0 - base - b * sf
+            slope = a * sf + b * np.asarray(patience.pdf(w))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(slope > 0.0, np.maximum(w - g / slope, 0.0), w)
+            step = np.where(queued, step, 0.0)
+            fd_step, sf_step = patience.integrated_sf(step), patience.sf(step)
+            g_step = a * fd_step + 1.0 - base - b * sf_step
+            iterations += int(np.count_nonzero(queued))
+            # a step that would raise |g| (a kink of the law, a clamp at 0) is not taken
+            take = ~queued | (np.abs(g_step) <= np.abs(g))
+            w, fd, sf, g = (np.where(take, new, old) for new, old in
+                            ((step, w), (fd_step, fd), (sf_step, sf), (g_step, g)))
+        if queued.any():
+            worst = max(worst, float(np.max(np.abs(g[queued]))))
+        x[k0:k1] = np.where(queued, 1.0 + lam * fd, base + b * sf0)
+        qv[k0:k1] = np.where(queued, x[k0:k1] - 1.0, 0.0)
+        surv[k0:k1] = sf
+        wait[k0:k1] = w
 
     busy = np.minimum(x, 1.0)
     virtual = lam * wait
@@ -469,7 +531,7 @@ def fixed_point_residual(sol: FluidSolution) -> float:
     """
     cfg = sol.config
     steps = sol.times.size - 1
-    increments = np.diff([cfg.service.equilibrium_cdf(sol.times), cfg.service.cdf(sol.times)])
+    increments = _increments(cfg, sol.times)
     load = np.asarray(initial_load(cfg, sol.initial, sol.times))
     surv = survival_at_offered_wait(cfg.arrival_rate, cfg.patience, sol.queue)
     size = 1 << (2 * steps - 2).bit_length()

@@ -185,6 +185,21 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("blocked", ["out under a file", "output file is a directory"])
+def test_unwritable_output_exits_5_with_one_line(blocked, tmp_path, capsys):
+    path = _write_config(tmp_path, {"mode": "equilibrium", "arrival_rate": 1.2,
+                                    "patience": EXP, "service": EXP})
+    (tmp_path / "eq.json").write_text("")
+    out = tmp_path / "eq.json" / "sub"
+    if blocked == "output file is a directory":
+        out = tmp_path / "o"
+        (out / "equilibrium.json").mkdir(parents=True)
+    assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_MODE_MISMATCH
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 _MINIMAL = {  # each mode with exactly its required keys
     "fluid-solve": {"arrival_rate": 1.2, "patience": EXP, "service": EXP},
     "equilibrium": {"arrival_rate": 1.2, "patience": EXP, "service": EXP},

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fluidq import fluid
 from fluidq.distributions import Exponential, HyperExponential, LogNormal, Uniform
@@ -182,9 +183,9 @@ def test_solve_step_equation_has_a_unique_root():
     # strictly increasing g has one root, so the accepted |g| <= tol pins it
     cfg = _cfg(2.0, Exponential(2.0), Exponential(1.0), horizon=3.0)
     sol = solve(cfg)
-    rev_ge, rev_g = fluid._reversed_increments(cfg, sol.times)
-    a = cfg.arrival_rate * (1.0 - rev_g[-1])
-    b = cfg.traffic_intensity * rev_ge[-1]
+    inc_ge, inc_g = fluid._increments(cfg, sol.times)
+    a = cfg.arrival_rate * (1.0 - inc_g[0])
+    b = cfg.traffic_intensity * inc_ge[0]
     w = np.linspace(0.0, 2.0 * float(np.max(sol.virtual)) / cfg.arrival_rate, 1001)
     g = a * np.asarray(cfg.patience.integrated_sf(w)) - b * np.asarray(cfg.patience.sf(w))
     assert np.all(np.diff(g) > 0.0)
@@ -257,13 +258,14 @@ def test_offered_wait_root_ties_queue_system_and_virtual_buffer(family, start):
 def test_newton_step_past_the_patience_support_end_converges():
     # Below lo the step equation's slope is lambda (1 - dG_0) alone, so the
     # first Newton step from a wait just under lo overshoots past hi, where
-    # sf = pdf = 0 and g' vanishes; the bracket must take over.
+    # sf = pdf = 0 and g' vanishes; the bracket must take over.  On this
+    # coarse grid a window's first sweep, built on extrapolated waits, also
+    # pushes steps past hi; only settled bases may call that a violation.
     past_end = []
 
     class RecordingUniform(Uniform):
         def sf(self, x):
-            if np.ndim(x) == 0 and x > self.hi:
-                past_end.append(float(x))
+            past_end.extend(float(v) for v in np.ravel(x) if v > self.hi)
             return super().sf(x)
 
     lam, patience = 10.0, RecordingUniform(1.0, 1.2)
@@ -274,6 +276,76 @@ def test_newton_step_past_the_patience_support_end_converges():
     assert float(np.max(sol.virtual / lam)) <= patience.hi
     assert sol.max_step_residual <= cfg.tol
     assert fixed_point_residual(sol) <= 2e-10
+
+
+def test_newton_leaves_a_rootless_step_alone_until_the_bases_settle():
+    # past Uniform(1, 1.2)'s support g is a N_F + 1 - base = 2.1 - base, so a
+    # base of 3 has no root: a violation under settled bases, and under a
+    # sweep's provisional ones an entry left for the next sweep
+    patience = Uniform(1.0, 1.2)
+    base = np.array([1.0, 3.0])
+
+    def start():
+        w = np.array([0.5, 0.5])
+        return w, np.asarray(patience.integrated_sf(w)), np.asarray(patience.sf(w))
+
+    w, fd, sf = start()
+    assert fluid._newton(patience, 1.0, 0.1, base, w, fd, sf, np.arange(2), 1e-12, strict=False) > 2
+    assert abs(fd[0] - 0.1 * sf[0]) <= 1e-12
+    assert w[1] > patience.hi and fd[1] == patience.mean
+    with pytest.raises(fluid.InvariantViolationError, match="N_F"):
+        fluid._newton(patience, 1.0, 0.1, base, *start(), np.arange(2), 1e-12, strict=True)
+
+
+def _per_step_oracle(cfg):
+    """X from the fluid step equation solved one step at a time, each root by brentq."""
+    lam, rho, patience = cfg.arrival_rate, cfg.traffic_intensity, cfg.patience
+    steps = int(round(cfg.horizon / cfg.dt))
+    times = np.arange(steps + 1) * cfg.dt
+    dge = np.diff(cfg.service.equilibrium_cdf(times))
+    dg = np.diff(cfg.service.cdf(times))
+    load = initial_load(cfg, validate_initial(cfg, InitialCondition()), times)
+    a, b = lam * (1.0 - dg[0]), rho * dge[0]
+    x, queue, surv = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps + 1)
+    for k in range(1, steps + 1):
+        base = (load[k] + rho * np.dot(surv[1:k], dge[k - 1:0:-1])
+                + np.dot(queue[1:k], dg[k - 1:0:-1]))
+
+        def g(w):
+            return a * patience.integrated_sf(w) + 1.0 - base - b * patience.sf(w)
+
+        if g(0.0) >= 0.0:
+            x[k], surv[k] = base + b * patience.sf(0.0), patience.sf(0.0)
+            continue
+        hi = 1.0
+        while g(hi) < 0.0:
+            hi *= 2.0
+        w = brentq(g, 0.0, hi, xtol=1e-15)
+        x[k] = 1.0 + lam * patience.integrated_sf(w)
+        queue[k], surv[k] = x[k] - 1.0, patience.sf(w)
+    return x
+
+
+@pytest.mark.parametrize("patience", [Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0),
+                                      HyperExponential((0.4, 0.6), (0.5, 2.0))],
+                         ids=["exponential", "lognormal", "hyperexponential"])
+def test_windowed_solve_matches_a_per_step_brentq_oracle(patience):
+    # 750 steps: five full windows and a partial one; the queue starts empty
+    cfg = _cfg(1.5, patience, Exponential(1.0), horizon=3.0, dt=4e-3)
+    sol = solve(cfg)
+    assert sol.times.size - 1 > 4 * fluid._WINDOW
+    assert float(np.max(np.abs(sol.system - _per_step_oracle(cfg)))) <= 1e-9
+
+
+@pytest.mark.parametrize("steps", [fluid._WINDOW // 2, fluid._WINDOW, fluid._WINDOW + 1,
+                                   3 * fluid._WINDOW + fluid._WINDOW // 3])
+def test_window_boundaries_keep_every_step_solved(steps):
+    cfg = _cfg(1.5, LogNormal.from_mean_cv(1.0, 1.0), Exponential(1.0),
+               horizon=steps * 0.01, dt=0.01)
+    sol = solve(cfg)
+    assert sol.times.size == steps + 1
+    assert fixed_point_residual(sol) <= 2e-10
+    assert sol.max_step_residual <= cfg.tol
 
 
 def test_grid_refinement_is_first_order():
