@@ -168,16 +168,17 @@ def _probes(cfg: dict) -> np.ndarray:
                           int(_number(spec.get("count", 512), "probes count", least=2)))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _write_csv(path: str, header: list, rows) -> None:
+    """One line per row by one %-template: floats as %.17g, every other cell as str()."""
+    templates = {}   # cell types of a row -> its line template
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        for row in rows:
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = ",".join(
+                    "%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
+            fh.write(templates[kinds] % tuple(row))
 
 
 _SERVER_SHAPES = {"equilibrium-shaped": fluid.EquilibriumShaped,

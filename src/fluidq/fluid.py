@@ -8,11 +8,13 @@ exact CDF increments over the grid cells, the integrand taken at the newest
 grid value.  The final cell is solved for the offered wait w; the queue
 lambda * F_d(w), the survival sf(w), the virtual buffer lambda * w and X
 follow from w directly.  The march takes a window of steps at a time: the
-history before the window is one convolution per law, the history inside it
-one triangular Toeplitz product, and Picard sweeps solve every step of the
-window by one vectorized bracketed Newton iteration until the history sums
-settle.  The busy-server and scheduled masses follow in closed form, and
-measure-valued buffer/server profiles can be materialized at any grid time.
+history before the window is summed by the blocked FFT of Hairer, Lubich and
+Schlichte (1985), one square of earlier steps against later ones per window,
+in O(N log^2 N) for N steps; the history inside it is one triangular Toeplitz
+product, and Picard sweeps solve every step of the window by one vectorized
+bracketed Newton iteration until the history sums settle.  The busy-server
+and scheduled masses follow in closed form, and measure-valued buffer/server
+profiles can be materialized at any grid time.
 """
 
 from __future__ import annotations
@@ -386,9 +388,17 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     and X follows in closed form; otherwise _newton finds the root.
 
     The steps are solved _WINDOW at a time.  A window's base splits into the
-    far history of the steps before it, one convolution per law, and the
-    near history of its own steps, one lower-triangular Toeplitz product of
-    the increments per law.  Picard sweeps alternate the two: bases from the
+    far history of the steps before it and the near history of its own
+    steps, one lower-triangular Toeplitz product of the increments per law.
+    The far history follows Hairer, Lubich and Schlichte's partition of the
+    lower triangle into squares (SIAM J. Sci. Stat. Comput. 6, 1985).  At
+    the start of window b >= 1, counting from 0, one square adds the last
+    span = lowbit(b) * _WINDOW solved steps onto the next span steps, clipped
+    at the horizon: one real FFT of size 2 span over the lags 1 .. 2 span - 1,
+    whose circular wrap misses the outputs, summed into the initial load.
+    Each pair of windows a < b lies in exactly one square, the one at the
+    highest bit where a and b differ, so the far history costs
+    O(N log^2 N) for N steps.  Picard sweeps alternate the two: bases from the
     current values, then every step's root at once, starting from the last
     waits.  The first sweep starts from the waits of the last two steps,
     extrapolated.  The sweeps stop when the bases move by at most _SETTLED;
@@ -417,7 +427,7 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     steps = int(round(cfg.horizon / cfg.dt))
     times = np.arange(steps + 1) * cfg.dt
     inc = _increments(cfg, times)
-    load = np.asarray(initial_load(cfg, init, times))
+    history = np.asarray(initial_load(cfg, init, times))   # plus each square's far sums
     a = lam * (1.0 - inc[1, 0])     # g'(w) = a sf(w) + b pdf(w)
     b = rho * inc[0, 0]
     sf0 = float(patience.sf(0.0))
@@ -437,13 +447,19 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     iterations = 0
     worst = 0.0
 
-    for k0 in range(1, steps + 1, _WINDOW):
+    for window, k0 in enumerate(range(1, steps + 1, _WINDOW)):
         k1 = min(k0 + _WINDOW, steps + 1)
         m = k1 - k0
-        far = load[k0:k1].copy()
-        if k0 > 1:
-            far += (rho * np.convolve(inc[0, 1:k1 - 1], surv[1:k0], "valid")
-                    + np.convolve(inc[1, 1:k1 - 1], qv[1:k0], "valid"))
+        if window:
+            # this window's square: the last span steps onto the next span, lags 1 .. 2 span - 1
+            span = (window & -window) * _WINDOW
+            size = 2 * span
+            spectra = (np.fft.rfft(inc[:, 1:size], size)
+                       * np.fft.rfft([surv[k0 - span:k0], qv[k0 - span:k0]], size))
+            sums = np.fft.irfft(rho * spectra[0] + spectra[1], size)
+            out = history[k0:k0 + span]
+            out += sums[span - 1:span - 1 + out.size]
+        far = history[k0:k1]
         ge_near, g_near = near[:, :m, :m]
         trend = wait[k0 - 1] - wait[max(k0 - 2, 0)]
         w = np.maximum(wait[k0 - 1] + trend * np.arange(1, m + 1), 0.0)

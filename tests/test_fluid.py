@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from fluidq import fluid
 from fluidq.distributions import Exponential, HyperExponential, LogNormal, Uniform
 from fluidq.equilibrium import equilibrium_state
+from fluidq.expode import ExpOdeConfig, integrate
 from fluidq.fluid import (
     EMPTY_SERVERS,
     EquilibriumShaped,
@@ -326,19 +327,27 @@ def _per_step_oracle(cfg):
     return x
 
 
-@pytest.mark.parametrize("patience", [Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0),
-                                      HyperExponential((0.4, 0.6), (0.5, 2.0))],
-                         ids=["exponential", "lognormal", "hyperexponential"])
-def test_windowed_solve_matches_a_per_step_brentq_oracle(patience):
-    # 750 steps: five full windows and a partial one; the queue starts empty
-    cfg = _cfg(1.5, patience, Exponential(1.0), horizon=3.0, dt=4e-3)
+@pytest.mark.parametrize("patience, horizon", [
+    (Exponential(1.0), 3.0), (LogNormal.from_mean_cv(1.0, 1.0), 3.0),
+    (HyperExponential((0.4, 0.6), (0.5, 2.0)), 3.0), (LogNormal.from_mean_cv(1.0, 1.0), 4.8),
+], ids=["exponential", "lognormal", "hyperexponential", "lognormal-nine-windows"])
+def test_windowed_solve_matches_a_per_step_brentq_oracle(patience, horizon):
+    # 750 steps: five full windows and a partial one; 1200 steps: nine full windows and a
+    # partial one, where the 8-window square's outputs end clipped; the queue starts empty
+    cfg = _cfg(1.5, patience, Exponential(1.0), horizon=horizon, dt=4e-3)
     sol = solve(cfg)
     assert sol.times.size - 1 > 4 * fluid._WINDOW
     assert float(np.max(np.abs(sol.system - _per_step_oracle(cfg)))) <= 1e-9
 
 
+# 8 windows fill the 4-window square exactly; one step more opens the 8-window square,
+# whose outputs the horizon clips to that step; 13 1/3 windows clip it inside a window;
+# 16 windows and a step fill it and open the 16-window square
 @pytest.mark.parametrize("steps", [fluid._WINDOW // 2, fluid._WINDOW, fluid._WINDOW + 1,
-                                   3 * fluid._WINDOW + fluid._WINDOW // 3])
+                                   3 * fluid._WINDOW + fluid._WINDOW // 3, 8 * fluid._WINDOW,
+                                   8 * fluid._WINDOW + 1,
+                                   13 * fluid._WINDOW + fluid._WINDOW // 3,
+                                   16 * fluid._WINDOW + 1])
 def test_window_boundaries_keep_every_step_solved(steps):
     cfg = _cfg(1.5, LogNormal.from_mean_cv(1.0, 1.0), Exponential(1.0),
                horizon=steps * 0.01, dt=0.01)
@@ -346,6 +355,16 @@ def test_window_boundaries_keep_every_step_solved(steps):
     assert sol.times.size == steps + 1
     assert fixed_point_residual(sol) <= 2e-10
     assert sol.max_step_residual <= cfg.tol
+
+
+def test_long_horizon_solve_matches_the_exponential_ode():
+    # 10^5 steps reach the deepest square, of 2^9 windows; criterion 1's bound
+    cfg = _cfg(1.5, Exponential(1.0), Exponential(1.0), horizon=100.0)
+    sol = solve(cfg)
+    assert sol.times.size - 1 > 512 * fluid._WINDOW
+    _, ode = integrate(ExpOdeConfig(1.0, 1.0, 1.5, horizon=100.0, dt=1e-3))
+    assert float(np.max(np.abs(sol.system - ode))) <= 2e-3
+    assert fixed_point_residual(sol) <= 2e-10
 
 
 def test_grid_refinement_is_first_order():
