@@ -150,12 +150,10 @@ class Exponential(DistributionSpec):
             raise DistributionError("exponential rate must be positive")
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.where(x > 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0))
+        return _maybe_scalar(-np.expm1(-self.rate * np.maximum(x, 0.0)))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.where(x > 0.0, np.exp(-self.rate * np.maximum(x, 0.0)), 1.0))
+        return _maybe_scalar(np.exp(-self.rate * np.maximum(x, 0.0)))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -275,18 +273,21 @@ class LogNormal(DistributionSpec):
         return cls(mu=math.log(mean) - 0.5 * sigma2, sigma=math.sqrt(sigma2))
 
     def _z(self, x):
+        """(log x - mu) / sigma in one fresh array; x <= 0 reads as 0, whose log is -inf."""
+        z = np.maximum(x, 0.0, out=np.empty(np.shape(x)))
         with np.errstate(divide="ignore"):
-            return (np.log(x) - self.mu) / self.sigma
+            np.log(z, out=z)
+        z -= self.mu
+        z /= self.sigma
+        return z
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        pos = x > 0.0
-        return _maybe_scalar(np.where(pos, ndtr(self._z(np.where(pos, x, 1.0))), 0.0))
+        z = self._z(x)
+        return _maybe_scalar(ndtr(z, out=z))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        pos = x > 0.0
-        return _maybe_scalar(np.where(pos, ndtr(-self._z(np.where(pos, x, 1.0))), 1.0))
+        z = self._z(x)
+        return _maybe_scalar(ndtr(np.negative(z, out=z), out=z))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -43,11 +43,12 @@ class TailMeasure:
 
     @classmethod
     def from_samples(cls, values, mass_per_point: float) -> "TailMeasure":
-        """Empirical measure: tail(x) = mass_per_point * #{i : values[i] > x}."""
-        values = np.asarray(values, dtype=float)
-        grid = np.unique(values) if values.size else np.array([0.0])
-        sorted_vals = np.sort(values)
-        counts = values.size - np.searchsorted(sorted_vals, grid, side="right")
+        """Empirical measure: tail(x) = mass_per_point * #{i : values[i] > x}, from one sort:
+        the grid takes the first of each run of equal values, as np.unique does."""
+        values = np.sort(np.asarray(values, dtype=float), axis=None)
+        first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        grid = values[first] if values.size else np.array([0.0])
+        counts = values.size - np.append(first[1:], values.size)
         return cls(grid, mass_per_point * counts, mass_per_point * values.size, "step")
 
     def tail_at(self, x):

@@ -5,18 +5,20 @@ free time W of the n servers (Kiefer and Wolfowitz, On the theory of queues with
 servers, 1955), kept in a heap that starts from the seeded completion times and 0 for
 each idle server.  It leaves the buffer at max(A, W): unserved if it had to wait, W > A,
 and its patience ran out, P <= W - A; otherwise that server is free again at
-max(A, W) + S.  So a completion goes before an arrival at the same time.  Snapshots are
-masks over the per-customer arrays and mirror the fluid state: a virtual buffer holding
-every arrived-but-unscheduled customer (including those whose patience already expired)
-measured by residual patience, and the busy servers measured by residual service time.
-The real queue counts the buffer's positive residuals; a completion or a departure from
-the buffer at the snapshot time has happened by then.
+max(A, W) + S.  So a completion goes before an arrival at the same time.  A start only
+replaces the heap's minimum by a later time, so W never falls; A is sorted, so leaving
+times max(A, W) are sorted too, and snapshots are slices of the per-customer arrays.
+They mirror the fluid state: a virtual buffer holding every arrived-but-unscheduled
+customer (including those whose patience already expired) measured by residual patience,
+and the busy servers measured by residual service time.  The real queue counts the
+buffer's positive residuals; a completion or a departure from the buffer at the snapshot
+time has happened by then.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -131,7 +133,8 @@ def _arrivals(cfg: SimConfig, rng: np.random.Generator, arrival_times, until: fl
 def _customers(cfg: SimConfig, replication_index: int, arrival_times=None) -> tuple:
     """Draw, then recurse: the seeded servers' completion times, the seeded buffer's size,
     and per customer in FIFO order its arrival, patience and service, the time it left
-    the buffer, and whether it was served."""
+    the buffer, and whether it was served.  The loop records only W per customer; max(A, W)
+    and the served flag are then the loop's own comparisons, made over the arrays."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replication_index)))
     done0, *seeded = _seed(cfg, rng)
     fresh = _arrivals(cfg, rng, arrival_times, max(cfg.snapshot_times, default=0.0))
@@ -140,16 +143,18 @@ def _customers(cfg: SimConfig, replication_index: int, arrival_times=None) -> tu
     # seeded buffer's head there, not the next arrival (a busy mass within validation's
     # 1e-9 of one floors to n - 1 seeded servers)
     free = [0.0] * (cfg.num_servers - done0.size) + sorted(done0.tolist())
-    leave, served = [], []
+    offered = []
+    record, start = offered.append, heapq.heapreplace
     for a, p, s in zip(arrival.tolist(), patience.tolist(), service.tolist()):
         w = free[0]
-        served.append(w <= a or p > w - a)
-        if served[-1]:
-            w = max(a, w)
-            heapq.heapreplace(free, w + s)
-        leave.append(w)
-    return (done0, seeded[0].size, arrival, patience, service, np.array(leave),
-            np.array(served, dtype=bool))
+        record(w)
+        if w <= a:
+            start(free, a + s)
+        elif p > w - a:
+            start(free, w + s)
+    offered = np.array(offered)
+    served = (offered <= arrival) | (patience > offered - arrival)
+    return done0, seeded[0].size, arrival, patience, service, np.maximum(arrival, offered), served
 
 
 def run(cfg: SimConfig, replication_index: int = 0, arrival_times=None) -> list[SystemSnapshot]:
@@ -157,16 +162,21 @@ def run(cfg: SimConfig, replication_index: int = 0, arrival_times=None) -> list[
 
     arrival_times, when given, replaces the renewal stream with an explicit
     schedule of times >= 0 (deterministic trace runs); a negative time raises ValueError.
+
+    arrival and leave are sorted, so at t the customers [0, left) have left the buffer,
+    the served ones busy or completed, and [left, arrived) wait in it; all seeded arrived.
     """
     done0, waiting0, arrival, patience, service, leave, served = _customers(
         cfg, replication_index, arrival_times)
     done = leave + service
     snaps = []
     for t in cfg.snapshot_times:
-        waiting = (arrival <= t) & (t < leave)
-        residual = patience[waiting] - (t - arrival[waiting])
+        left = int(np.searchsorted(leave, t, side="right"))
+        arrived = int(np.searchsorted(arrival, t, side="right"))
+        residual = patience[left:arrived] - (t - arrival[left:arrived])
         queue = int(np.count_nonzero(residual > 0.0))
-        busy = np.concatenate((done[served & (leave <= t) & (t < done)], done0[done0 > t]))
+        started = int(np.count_nonzero(served[:left]))
+        busy = np.concatenate((done[:left][served[:left] & (t < done[:left])], done0[done0 > t]))
         snaps.append(SystemSnapshot(
             time=t,
             buffer_measure=TailMeasure.from_samples(residual, 1.0),
@@ -175,10 +185,10 @@ def run(cfg: SimConfig, replication_index: int = 0, arrival_times=None) -> list[
             virtual_size=residual.size,
             busy_servers=busy.size,
             system_size=queue + busy.size,
-            abandoned=int(np.count_nonzero(~served & (leave <= t))) + residual.size - queue,
-            completed=int(np.count_nonzero(served & (done <= t)) + np.count_nonzero(done0 <= t)),
-            arrivals=int(np.count_nonzero(arrival[waiting0:] <= t)),
-            left_buffer=int(np.count_nonzero(leave <= t)),
+            abandoned=left - started + residual.size - queue,
+            completed=started + done0.size - busy.size,
+            arrivals=arrived - waiting0,
+            left_buffer=left,
             initial_virtual=waiting0,
             initial_busy=done0.size,
         ))
@@ -193,21 +203,9 @@ def run_replications(cfg: SimConfig) -> list[list[SystemSnapshot]]:
 def fluid_scale(snap: SystemSnapshot, n: int) -> SystemSnapshot:
     """Divide every count and measure by the server count."""
     s = 1.0 / n
-    return replace(
-        snap,
-        buffer_measure=snap.buffer_measure.scaled(s),
-        server_measure=snap.server_measure.scaled(s),
-        queue_size=snap.queue_size * s,
-        virtual_size=snap.virtual_size * s,
-        busy_servers=snap.busy_servers * s,
-        system_size=snap.system_size * s,
-        abandoned=snap.abandoned * s,
-        completed=snap.completed * s,
-        arrivals=snap.arrivals * s,
-        left_buffer=snap.left_buffer * s,
-        initial_virtual=snap.initial_virtual * s,
-        initial_busy=snap.initial_busy * s,
-    )
+    values = {f.name: getattr(snap, f.name) for f in fields(snap) if f.name != "time"}
+    return replace(snap, **{name: v.scaled(s) if isinstance(v, TailMeasure) else v * s
+                            for name, v in values.items()})
 
 
 @dataclass(frozen=True)

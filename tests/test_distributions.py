@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fluidq.distributions import (
     Deterministic,
@@ -75,6 +76,42 @@ def test_cdf_monotone_in_unit_interval(dist):
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     assert np.all(np.diff(vals) >= -1e-15)
     assert float(dist.cdf(-0.5)) == 0.0
+
+
+def _lognormal_z(dist, x):
+    with np.errstate(divide="ignore"):
+        return (np.log(x) - dist.mu) / dist.sigma
+
+
+# the kernels as written with x > 0 masks, kept as oracles
+_MASKED_KERNELS = {
+    (LogNormal, "cdf"): lambda d, x: np.where(
+        x > 0.0, ndtr(_lognormal_z(d, np.where(x > 0.0, x, 1.0))), 0.0),
+    (LogNormal, "sf"): lambda d, x: np.where(
+        x > 0.0, ndtr(-_lognormal_z(d, np.where(x > 0.0, x, 1.0))), 1.0),
+    (Exponential, "cdf"): lambda d, x: np.where(
+        x > 0.0, -np.expm1(-d.rate * np.maximum(x, 0.0)), 0.0),
+    (Exponential, "sf"): lambda d, x: np.where(
+        x > 0.0, np.exp(-d.rate * np.maximum(x, 0.0)), 1.0),
+}
+_KERNEL_EDGES = [-1.0, -0.0, 0.0, 5e-324, math.inf, -math.inf, 1e308]
+
+
+@pytest.mark.parametrize("dist", [LogNormal.from_mean_cv(1.0, 1.0), LogNormal(-3.0, 2.5),
+                                  Exponential(1.0), Exponential(1.7)], ids=repr)
+@pytest.mark.parametrize("method", ["cdf", "sf"])
+def test_unmasked_kernels_equal_the_masked_formulas_bit_for_bit(dist, method):
+    # log(0) = -inf and exp(-0) = 1 give the x <= 0 limits the masks used to set
+    oracle = _MASKED_KERNELS[type(dist), method]
+    rng = np.random.default_rng(31)
+    x = np.concatenate((_KERNEL_EDGES, rng.lognormal(0.0, 3.0, 50_000),
+                        rng.normal(0.0, 2.0, 50_000 - len(_KERNEL_EDGES))))
+    kernel = getattr(dist, method)
+    assert np.asarray(kernel(x)).tobytes() == oracle(dist, x).tobytes()
+    for edge in _KERNEL_EDGES:
+        got = kernel(edge)
+        assert type(got) is float and got.hex() == float(oracle(dist, np.asarray(edge))).hex()
+    assert math.isnan(kernel(math.nan))  # the masks read nan as <= 0; it now stays nan
 
 
 # ---------------------------------------------------------------- equilibrium cdf

@@ -81,6 +81,31 @@ def test_from_samples_matches_brute_force_counting():
         assert m.tail_at(x) == pytest.approx(mass * int(np.sum(values > x)), abs=1e-12)
 
 
+
+def _unique_from_samples(values, mass_per_point):
+    """The two-sort construction from_samples replaced, kept as an oracle."""
+    values = np.asarray(values, dtype=float)
+    grid = np.unique(values) if values.size else np.array([0.0])
+    counts = values.size - np.searchsorted(np.sort(values), grid, side="right")
+    return TailMeasure(grid, mass_per_point * counts, mass_per_point * values.size, "step")
+
+
+@pytest.mark.parametrize("values", [
+    [], [2.5], [1.0] * 7, [3.0, 1.0, 3.0, 2.0, 1.0, 3.0], [-2.0, -0.5, -7.0, -0.5],
+    [0.0, -0.0, 1.0, -0.0, 0.0, -1.0], [-0.0, 0.0], [0.0, -0.0],
+    np.round(np.random.default_rng(5).normal(0.0, 2.0, 500), 1),
+], ids=["empty", "single", "all-equal", "ties", "negatives", "mixed-zeros", "-0-first",
+        "+0-first", "rounded-normal"])
+def test_from_samples_equals_the_unique_construction(values):
+    # one sort must give the grid, tails and total of np.unique plus a second sort,
+    # bit for bit, including which zero a run of +-0.0 keeps
+    for mass in (1.0, 0.3):
+        got, want = TailMeasure.from_samples(values, mass), _unique_from_samples(values, mass)
+        assert got.grid.tobytes() == want.grid.tobytes()
+        assert got.tails.tobytes() == want.tails.tobytes()
+        assert got.total.hex() == want.total.hex()
+        assert got.interpolation == want.interpolation == "step"
+
 def test_constructor_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         TailMeasure(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)

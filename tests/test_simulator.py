@@ -1,15 +1,18 @@
+import heapq
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fluidq.distributions import Deterministic, Exponential, HyperExponential, LogNormal, Uniform
 from fluidq.equilibrium import equilibrium_state
-from fluidq.fluid import (EquilibriumShaped, FluidConfig, InitialCondition, TabulatedProfile,
-                          solve, validate_initial)
+from fluidq.fluid import (EquilibriumShaped, FluidConfig, InitialCondition,
+                          ServiceComplementShaped, TabulatedProfile, solve, validate_initial)
 from fluidq.measures import TailMeasure
 from fluidq.simulator import (
     SimConfig,
+    SystemSnapshot,
     _customers,
     compare_to_fluid,
     fluid_scale,
@@ -148,6 +151,93 @@ def test_completion_heap_holds_exactly_the_busy_servers():
         assert len(busy) == snap.busy_servers == n - idle
         assert all(done > t for done in busy)
 
+
+
+def _mask_snapshots(cfg, replication_index=0, arrival_times=None):
+    """An earlier engine, kept as an oracle: the recursion with Python's max and a served
+    list, then each snapshot as full-length masks over the per-customer arrays."""
+    done0, waiting0, arrival, patience, service, _, _ = _customers(
+        cfg, replication_index, arrival_times)
+    free = [0.0] * (cfg.num_servers - done0.size) + sorted(done0.tolist())
+    leave, served = [], []
+    for a, p, s in zip(arrival.tolist(), patience.tolist(), service.tolist()):
+        w = free[0]
+        served.append(w <= a or p > w - a)
+        if served[-1]:
+            w = max(a, w)
+            heapq.heapreplace(free, w + s)
+        leave.append(w)
+    leave, served = np.array(leave), np.array(served, dtype=bool)
+    done = leave + service
+    snaps = []
+    for t in cfg.snapshot_times:
+        waiting = (arrival <= t) & (t < leave)
+        residual = patience[waiting] - (t - arrival[waiting])
+        queue = int(np.count_nonzero(residual > 0.0))
+        busy = np.concatenate((done[served & (leave <= t) & (t < done)], done0[done0 > t]))
+        snaps.append(SystemSnapshot(
+            time=t,
+            buffer_measure=TailMeasure.from_samples(residual, 1.0),
+            server_measure=TailMeasure.from_samples(busy - t, 1.0),
+            queue_size=queue,
+            virtual_size=residual.size,
+            busy_servers=busy.size,
+            system_size=queue + busy.size,
+            abandoned=int(np.count_nonzero(~served & (leave <= t))) + residual.size - queue,
+            completed=int(np.count_nonzero(served & (done <= t)) + np.count_nonzero(done0 <= t)),
+            arrivals=int(np.count_nonzero(arrival[waiting0:] <= t)),
+            left_buffer=int(np.count_nonzero(leave <= t)),
+            initial_virtual=waiting0,
+            initial_busy=done0.size,
+        ))
+    return leave, served, snaps
+
+
+def _slice_cases():
+    lam, hyper = 1.5, HyperExponential((0.4, 0.6), (0.5, 2.0))
+    lognormal = LogNormal.from_mean_cv(1.0, 1.0)
+    fc = FluidConfig(arrival_rate=lam, patience=Exponential(1.0), service=lognormal)
+    complement = validate_initial(fc, InitialCondition(0.5, ServiceComplementShaped(1.0)))
+    times = tuple(np.arange(17) * 0.25)
+    yield "empty", _mmnm_config(5, lam=1.6, snapshots=tuple(np.arange(21) * 0.5)), None
+    yield "equilibrium-hyperexp", SimConfig(
+        40, Exponential(40 * lam), hyper, lognormal, horizon=4.0, snapshot_times=times,
+        seed=8, initial=_equilibrium_start(lam, hyper, lognormal)[1]), None
+    yield "r0-service-complement", SimConfig(
+        60, Exponential(60 * lam), Exponential(1.0), lognormal, horizon=4.0,
+        snapshot_times=times, seed=2, initial=complement), None
+    # repeated times, times equal to snapshot times, and -0.0, which Python's max keeps
+    # as the leaving time where np.maximum gives 0.0
+    schedule = [-0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.25, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.5]
+    yield "schedule", SimConfig(
+        2, Exponential(1.0), Deterministic(0.75), Deterministic(1.0), horizon=4.0,
+        snapshot_times=(0.0, 0.5, 1.0, 1.25, 2.0, 2.75, 3.0, 4.0), seed=3), schedule
+    # deterministic arrivals and service: departures and starts land on snapshot times
+    yield "deterministic-service", SimConfig(
+        3, Deterministic(0.25), Exponential(1.0), Deterministic(1.0), horizon=8.0,
+        snapshot_times=tuple(np.arange(33) * 0.25), seed=6), None
+
+
+@pytest.mark.parametrize("case", ["empty", "equilibrium-hyperexp", "r0-service-complement",
+                                  "schedule", "deterministic-service"])
+def test_snapshot_slices_equal_the_masks(case):
+    cfg, schedule = next(rest for name, *rest in _slice_cases() if name == case)
+    for index in range(2):
+        leave, served, want = _mask_snapshots(cfg, index, schedule)
+        *_, got_leave, got_served = _customers(cfg, index, schedule)
+        assert np.all(np.diff(got_leave) >= 0.0)  # what makes a slice of every snapshot
+        assert np.array_equal(got_leave, leave) and np.array_equal(got_served, served)
+        got = run(cfg, index, schedule)
+        assert len(got) == len(want) == len(cfg.snapshot_times)
+        for g, w in zip(got, want):
+            for field in fields(SystemSnapshot):
+                a, b = getattr(g, field.name), getattr(w, field.name)
+                if isinstance(b, TailMeasure):
+                    assert a.grid.tobytes() == b.grid.tobytes(), (g.time, field.name)
+                    assert a.tails.tobytes() == b.tails.tobytes(), (g.time, field.name)
+                    assert a.total == b.total, (g.time, field.name)
+                else:
+                    assert type(a) is type(b) and a == b, (g.time, field.name, a, b)
 
 def test_determinism_same_seed_and_index():
     cfg = _mmnm_config(4, snapshots=(1.0, 5.0, 10.0))
