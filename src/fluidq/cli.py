@@ -42,8 +42,7 @@ _GRID = {"horizon": fluid.FluidConfig.horizon, "dt": fluid.FluidConfig.dt}
 _SIM_KEYS = {**_LAWS, **_GRID, "arrival": OPTIONAL, "n": REQUIRED, "replications": 20,
              "initial": "empty"}
 MODE_KEYS = {
-    "fluid-solve": {**_LAWS, **_GRID, "tolerance": fluid.FluidConfig.tol, "initial": "empty",
-                    "profile_times": [], "probes": {}},
+    "fluid-solve": {**_LAWS, **_GRID, "initial": "empty", "profile_times": [], "probes": {}},
     "equilibrium": _LAWS,
     "ode-check": {"rho": REQUIRED, "alpha": REQUIRED, "mu": REQUIRED, "x0": 0.0, **_GRID},
     # simulate: "snapshot_times" absent is [horizon]
@@ -55,7 +54,7 @@ MODES = tuple(MODE_KEYS)
 _ALL_KEYS = set(_COMMON_KEYS).union(*MODE_KEYS.values())
 _GRID_MODES = {"fluid-solve", "ode-check", "compare"}   # modes that march a dt grid
 # numeric fields, each with the least whole value it takes (None: any finite number)
-_NUMERIC_KEYS = {"arrival_rate": None, "horizon": None, "dt": None, "tolerance": None,
+_NUMERIC_KEYS = {"arrival_rate": None, "horizon": None, "dt": None,
                  "rho": None, "alpha": None, "mu": None, "x0": None,
                  "snapshot_times": None, "profile_times": None,
                  "n": 1, "replications": 1, "seed": 0, "sample_count": 0}
@@ -205,12 +204,12 @@ def _initial_condition(cfg: dict, fc: fluid.FluidConfig) -> fluid.InitialConditi
     return fluid.InitialCondition(virtual_buffer_mass=r0, server_profile=profile)
 
 
-def _fluid_model(cfg: dict, **options):
+def _fluid_model(cfg: dict):
     """The fluid config and its validated initial state, which also seeds the simulator."""
     fc = fluid.FluidConfig(
         arrival_rate=float(cfg["arrival_rate"]),
         patience=_dist(cfg, "patience"), service=_dist(cfg, "service"),
-        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]), **options,
+        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
     )
     return fc, fluid.validate_initial(fc, _initial_condition(cfg, fc))
 
@@ -220,7 +219,7 @@ def _fluid_model(cfg: dict, **options):
 
 def _run_fluid_solve(cfg: dict, out: str) -> None:
     probes = _probes(cfg)
-    sol = fluid.solve(*_fluid_model(cfg, tol=float(cfg["tolerance"])))
+    sol = fluid.solve(*_fluid_model(cfg))
     _write_csv(os.path.join(out, "trajectory.csv"), ["t", "X", "Q", "Z", "R", "B"],
                np.column_stack((sol.times, sol.system, sol.queue, sol.busy, sol.virtual,
                                 sol.scheduled)).tolist())

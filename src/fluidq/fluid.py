@@ -12,7 +12,11 @@ history before the window is summed by the blocked FFT of Hairer, Lubich and
 Schlichte (1985), one square of earlier steps against later ones per window,
 in O(N log^2 N) for N steps; the history inside it is one triangular Toeplitz
 product, and Picard sweeps solve every step of the window by one vectorized
-bracketed Newton iteration until the history sums settle.  The busy-server
+bracketed Newton iteration until the history sums settle.  A step's equation
+increases in w towards its value past the patience tail, so it has a root
+exactly when the queue it implies stays within lambda times the patience
+mean; a root is accepted at a few rounding errors, with no tolerance to
+tune, and a settled step with no root is an invariant violation.  The busy-server
 and scheduled masses follow in closed form, and measure-valued buffer/server
 profiles can be materialized at any grid time.
 """
@@ -37,18 +41,18 @@ class InvalidInitialError(FluidModelError):
 
 
 class NoConvergenceError(RuntimeError):
-    """A step's Newton iteration exceeded its cap (signals a bad distribution or tolerance)."""
+    """A step's Newton iteration, or a window's sweeps, exceeded its cap."""
 
 
 class InvariantViolationError(RuntimeError):
-    """A post-solve structural invariant failed beyond tolerance."""
+    """The solved trajectory breaks a structural invariant."""
 
 
 _INNER_CAP = 50
 _PROFILE_CELLS = 1 << 20   # cells of one service.sf block in FluidSolution.profiles
 _WINDOW = 128              # fluid steps solve takes together in one window of sweeps
 _SETTLED = 1e-13           # a window's sweeps stop once no base moves by more
-_FINAL_PASSES = 2          # re-base + Newton step passes that end a window
+_ROOT = 4e-15              # a step's root is accepted at |g| <= _ROOT (1 + b + base)
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ class FluidConfig:
     service: DistributionSpec
     horizon: float = 10.0
     dt: float = 1e-3
-    tol: float = 1e-10
 
     def __post_init__(self):
         if not self.arrival_rate > 0.0:
@@ -69,8 +72,6 @@ class FluidConfig:
             raise FluidModelError("dt must be positive")
         if not self.horizon >= self.dt:
             raise FluidModelError("horizon must be at least dt")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise FluidModelError("tol must be finite and positive")
 
     @property
     def traffic_intensity(self) -> float:
@@ -262,7 +263,7 @@ class FluidSolution:
     virtual: np.ndarray     # R
     scheduled: np.ndarray   # B = arrival_rate * t - R
     inner_iterations: int = 0        # step-equation evaluations, summed over steps and sweeps
-    max_step_residual: float = 0.0   # worst |g| of a step after its window's final pass
+    max_step_residual: float = 0.0   # worst |g| of a step's accepted root
 
     def grid_index(self, t: float) -> int:
         k = int(round(t / self.config.dt))
@@ -329,26 +330,28 @@ def _increments(cfg: FluidConfig, times: np.ndarray) -> np.ndarray:
     return np.diff([cfg.service.equilibrium_cdf(times), cfg.service.cdf(times)])
 
 
-def _newton(patience: DistributionSpec, a: float, b: float, base, w, fd, sf, todo,
-            tol: float, strict: bool) -> int:
+def _newton(patience: DistributionSpec, a: float, b: float, base, w, fd, sf, todo) -> int:
     """Bracketed Newton on g(w) = a F_d(w) + 1 - base - b sf(w) = 0 at the entries todo.
 
     Each of them has g(0) < 0.  w holds the starts, fd and sf the integrated
     patience survival and the survival there; all three are updated in place.
-    An entry stops at |g| <= tol, and a Newton step that leaves its bracket
-    falls back to bisection, or to doubling while no upper bound is known.
-    Past the patience support g is flat, so an entry still below its root
-    there has none: with strict bases that breaks Q <= lambda N_F; with
-    provisional ones the entry is left where it is for the next sweep.
-    Returns the step-equation evaluations made.
+    g increases towards g(inf) = a N_F + 1 - base, N_F the patience mean, so
+    an entry with g(inf) < 0 has no root under these bases: it is dropped
+    before the iteration and left where it is.  Every other entry stops at
+    |g| <= _ROOT (1 + b + base), a few rounding errors of g's terms, which
+    balance at the root: a F_d + 1 = base + b sf.  A Newton step that leaves
+    its bracket falls back to bisection, or to doubling while no upper bound
+    is known.  Returns the step-equation evaluations made.
     """
+    todo = todo[a * patience.mean + 1.0 - base[todo] >= 0.0]
+    accept = _ROOT * (1.0 + b + base)
     lo = np.zeros(w.size)
     hi = np.full(w.size, math.inf)
     evaluations = 0
     for _ in range(_INNER_CAP):
         g = a * fd[todo] + 1.0 - base[todo] - b * sf[todo]
         evaluations += todo.size
-        open_ = np.abs(g) > tol
+        open_ = np.abs(g) > accept[todo]
         todo, g = todo[open_], g[open_]
         if not todo.size:
             return evaluations
@@ -361,11 +364,6 @@ def _newton(patience: DistributionSpec, a: float, b: float, base, w, fd, sf, tod
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = wt - g / slope   # not finite where g' vanishes
         inside = (l < newton) & (newton < h)
-        flat = ~inside & (h == math.inf) & (wt >= patience.support_end)
-        if flat.any():
-            if strict:
-                raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
-            todo, wt, inside, l, h, newton = (v[~flat] for v in (todo, wt, inside, l, h, newton))
         wt = np.where(inside, newton, np.where(h < math.inf, 0.5 * (l + h), 2.0 * wt))
         w[todo] = wt
         fd[todo] = patience.integrated_sf(wt)
@@ -401,18 +399,20 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     O(N log^2 N) for N steps.  Picard sweeps alternate the two: bases from the
     current values, then every step's root at once, starting from the last
     waits.  The first sweep starts from the waits of the last two steps,
-    extrapolated.  The sweeps stop when the bases move by at most _SETTLED;
-    only in that sweep does a root past the patience support raise.  Then
-    _FINAL_PASSES passes of a re-base at the final values and one more
-    Newton step per queued step put |g| far below cfg.tol.  inner_iterations
-    sums every step's step-equation evaluations over all sweeps and final
-    passes; max_step_residual is the worst |g| after the last pass.
+    extrapolated.  The sweeps stop when the bases move by at most _SETTLED,
+    and the roots of that sweep are final.  g rises to
+    g(inf) = arrival_rate (1 - dG_0) N_F + 1 - base, N_F the patience mean, so
+    a queued step has a root exactly when g(inf) >= 0; its queue
+    Q = arrival_rate F_d(w) is then at most arrival_rate N_F by construction.
+    Under a sweep's provisional bases a rootless step waits for the next
+    sweep; under settled ones it breaks Q <= arrival_rate N_F, and solve
+    raises.  inner_iterations sums every step's step-equation evaluations
+    over all sweeps; max_step_residual is the worst |g| of the final roots.
 
     Raises DistributionError if the service law has atoms or the patience
     law neither a Lipschitz CDF nor a bounded hazard, NoConvergenceError if
-    a step exceeds the iteration cap and InvariantViolationError if the
-    solved trajectories break the structural invariants (nondecreasing
-    scheduled mass, queue capped by the patience tail area).
+    a step exceeds the iteration cap and InvariantViolationError if a
+    settled step has no root or the scheduled mass decreases.
     """
     cfg.service.validate_as_service()
     cfg.patience.validate_as_patience()
@@ -468,33 +468,18 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
         previous = None
         for _ in range(m + 1):   # row r's base is final after r + 1 sweeps
             base = far + ge_near @ sf + g_near @ fd
-            settled = previous is not None and float(np.max(np.abs(base - previous))) <= _SETTLED
             queued = 1.0 - base - b * sf0 < 0.0
             w[~queued], fd[~queued], sf[~queued] = 0.0, 0.0, sf0
-            iterations += _newton(patience, a, b, base, w, fd, sf, np.flatnonzero(queued),
-                                  cfg.tol, settled)
-            if settled:
+            iterations += _newton(patience, a, b, base, w, fd, sf, np.flatnonzero(queued))
+            if previous is not None and float(np.max(np.abs(base - previous))) <= _SETTLED:
                 break
             previous = base
         else:
             raise NoConvergenceError("no-convergence: window sweeps did not settle")
-
-        for _ in range(_FINAL_PASSES):
-            base = far + ge_near @ sf + g_near @ fd
-            queued = 1.0 - base - b * sf0 < 0.0
-            g = a * fd + 1.0 - base - b * sf
-            slope = a * sf + b * np.asarray(patience.pdf(w))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(slope > 0.0, np.maximum(w - g / slope, 0.0), w)
-            step = np.where(queued, step, 0.0)
-            fd_step, sf_step = patience.integrated_sf(step), patience.sf(step)
-            g_step = a * fd_step + 1.0 - base - b * sf_step
-            iterations += int(np.count_nonzero(queued))
-            # a step that would raise |g| (a kink of the law, a clamp at 0) is not taken
-            take = ~queued | (np.abs(g_step) <= np.abs(g))
-            w, fd, sf, g = (np.where(take, new, old) for new, old in
-                            ((step, w), (fd_step, fd), (sf_step, sf), (g_step, g)))
+        if np.any(queued & (a * patience.mean + 1.0 - base < 0.0)):
+            raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
         if queued.any():
+            g = a * fd + 1.0 - base - b * sf
             worst = max(worst, float(np.max(np.abs(g[queued]))))
         x[k0:k1] = np.where(queued, 1.0 + lam * fd, base + b * sf0)
         qv[k0:k1] = np.where(queued, x[k0:k1] - 1.0, 0.0)
@@ -507,8 +492,6 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
 
     if scheduled.size > 1 and float(np.min(np.diff(scheduled))) < -1e-12:
         raise InvariantViolationError("invariant-violation: B nondecreasing")
-    if float(np.max(qv)) > lam * patience.mean + 1e-9:
-        raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
 
     return FluidSolution(
         config=cfg, initial=init, times=times,

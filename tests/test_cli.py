@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fluidq import cli, simulator
+from fluidq import cli, fluid, simulator
 from fluidq.distributions import Exponential
 from fluidq.equilibrium import equilibrium_state
 from fluidq.fluid import EquilibriumShaped, FluidConfig, InitialCondition, solve
@@ -90,10 +90,9 @@ EXIT_CASES = {
                                cli.EXIT_MODE_MISMATCH),
     "horizon off the dt grid": ({**_SOLVE, "dt": 0.3}, cli.EXIT_MODE_MISMATCH),
     "queue without full servers": ({**_SOLVE, "initial": {"r0": 0.5}}, cli.EXIT_MODE_MISMATCH),
-    "fluid step never converges": ({**_SOLVE, "arrival_rate": 2.0, "tolerance": 1e-300},
-                                   cli.EXIT_MODE_MISMATCH),
-    "tolerance not positive": ({**_SOLVE, "arrival_rate": 2.0, "tolerance": -1.0},
-                               cli.EXIT_MODE_MISMATCH),
+    "fluid step never converges": ({**_SOLVE, "arrival_rate": 2.0}, cli.EXIT_MODE_MISMATCH),
+    "tolerance is not a key": ({**_SOLVE, "arrival_rate": 2.0, "tolerance": 1e-10},
+                               cli.EXIT_UNKNOWN_KEY),
     "dt not positive": ({**_SOLVE, "dt": 0.0}, cli.EXIT_MODE_MISMATCH),
     "probe grid of one point": ({**_SOLVE, "probes": {"count": 1}}, cli.EXIT_MODE_MISMATCH),
     "probe bound not a number": ({**_SIM, "mode": "compare", "n": [4], "probes": {"lo": "low"}},
@@ -174,8 +173,10 @@ EXIT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
-def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys):
+def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys, monkeypatch):
     doc, expected = EXIT_CASES[case]
+    if case == "fluid step never converges":
+        monkeypatch.setattr(fluid, "_INNER_CAP", 1)   # one Newton step cannot reach a root
     path = tmp_path / "config.json"
     if doc is not None:
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
