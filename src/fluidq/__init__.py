@@ -38,7 +38,6 @@ from .simulator import (
     fluid_scale,
     gc_diagnostic,
     run,
-    run_replications,
 )
 
 __version__ = "0.1.0"

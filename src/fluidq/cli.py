@@ -92,18 +92,22 @@ def _off_grid(t: float, dt: float) -> bool:
     return abs(t - round(t / dt) * dt) > 1e-12 * max(1.0, abs(t))
 
 
-def _check_grid_alignment(raw: dict) -> None:
+def _check_times(raw: dict) -> None:
+    """Every snapshot and profile time on the dt grid and in [0, horizon]."""
     if "dt" not in raw:  # equilibrium and gc-check keep no time grid
         return
-    dt = float(raw["dt"])
+    dt, horizon = float(raw["dt"]), float(raw["horizon"])
     if not dt > 0.0:
         raise ConfigError(EXIT_MODE_MISMATCH, f"dt must be positive, got {dt!r}")
     for key in ("snapshot_times", "profile_times"):
         for t in raw.get(key, []):
+            if not 0.0 <= t <= horizon:
+                raise ConfigError(EXIT_MODE_MISMATCH,
+                                  f"{key} entry {t!r} lies outside [0, horizon={horizon!r}]")
             if _off_grid(t, dt):
                 raise ConfigError(EXIT_MODE_MISMATCH,
                                   f"{key} entry {t!r} is not a multiple of dt={dt!r}")
-    if raw["mode"] in _GRID_MODES and _off_grid(float(raw["horizon"]), dt):
+    if raw["mode"] in _GRID_MODES and _off_grid(horizon, dt):
         raise ConfigError(EXIT_MODE_MISMATCH,
                           f"horizon {raw['horizon']!r} is not a multiple of dt={dt!r}")
 
@@ -145,7 +149,7 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
     if not (isinstance(raw["out"], str) and raw["out"]):
         raise ConfigError(EXIT_MODE_MISMATCH, f"out must be a directory name, got {raw['out']!r}")
     _check_numbers(raw)
-    _check_grid_alignment(raw)
+    _check_times(raw)
     return raw
 
 
@@ -276,10 +280,9 @@ def _sim_configs(cfg: dict, fc: fluid.FluidConfig, init: fluid.ValidatedInitial)
 
 def _run_simulate(cfg: dict, out: str) -> None:
     for n, sim_cfg in _sim_configs(cfg, *_fluid_model(cfg)):
-        reps = simulator.run_replications(sim_cfg)
-        for i, rep in enumerate(reps):
+        for i in range(sim_cfg.replications):
             rows = []
-            for s in rep:
+            for s in simulator.run(sim_cfg, i):
                 scaled = simulator.fluid_scale(s, n)
                 rows.append([s.time, s.queue_size, s.virtual_size, s.busy_servers,
                              s.system_size, s.abandoned, s.completed,
@@ -295,22 +298,21 @@ def _run_compare(cfg: dict, out: str) -> None:
     fc, init = _fluid_model(cfg)
     sol = fluid.solve(fc, init)
     sims = list(_sim_configs(cfg, fc, init))  # validated before the profiles are built
-    profiles = sol.profiles(_snapshot_times(cfg), probes)
-    rows = []
-    summaries = []
+    times = _snapshot_times(cfg)
+    profiles = sol.profiles(times, probes)
+    rows, summaries = [], []
     for n, sim_cfg in sims:
-        reps = simulator.run_replications(sim_cfg)
-        scaled = [[simulator.fluid_scale(s, n) for s in rep] for rep in reps]
-        comp = simulator.compare_to_fluid(scaled, sol, probes, profiles)
-        for j, t in enumerate(comp.times):
-            rows.append([n, t, comp.mean_buffer_dist[j], comp.max_buffer_dist[j],
-                         comp.mean_server_dist[j], comp.max_server_dist[j],
-                         comp.mean_queue_gap[j], comp.mean_busy_gap[j]])
-        summaries.append([n, "all", float(np.mean(comp.mean_buffer_dist)),
-                          float(np.max(comp.max_buffer_dist)),
-                          float(np.mean(comp.mean_server_dist)),
-                          float(np.max(comp.max_server_dist)),
-                          comp.mean_sup_queue_gap, comp.mean_final_busy_gap])
+        gaps = np.array([   # (replication, gap, time)
+            simulator.compare_to_fluid([simulator.fluid_scale(s, n)
+                                        for s in simulator.run(sim_cfg, i)], sol, profiles)
+            for i in range(sim_cfg.replications)])
+        buffer, server, queue, busy = gaps.transpose(1, 0, 2)
+        means = [buffer.mean(axis=0), buffer.max(axis=0), server.mean(axis=0),
+                 server.max(axis=0), queue.mean(axis=0), busy.mean(axis=0)]
+        rows += [[n, t, *cells] for t, *cells in zip(times, *means)]
+        summaries.append([n, "all", float(np.mean(means[0])), float(np.max(means[1])),
+                          float(np.mean(means[2])), float(np.max(means[3])),
+                          float(np.mean(queue.max(axis=1))), float(np.mean(busy[:, -1]))])
     _write_csv(os.path.join(out, "compare_report.csv"),
                ["n", "t", "mean_dist_buffer", "max_dist_buffer", "mean_dist_server",
                 "max_dist_server", "mean_absQ", "mean_absZ"], rows + summaries)

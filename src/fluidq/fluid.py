@@ -330,6 +330,13 @@ def _increments(cfg: FluidConfig, times: np.ndarray) -> np.ndarray:
     return np.diff([cfg.service.equilibrium_cdf(times), cfg.service.cdf(times)])
 
 
+def _violation(invariant: str, t: float, cfg: FluidConfig) -> InvariantViolationError:
+    """Where the check failed, and the fluid one step admits: a grid too coarse breaks it."""
+    return InvariantViolationError(
+        f"invariant-violation: {invariant} fails at t={float(t)!r} "
+        f"(arrival_rate*dt = {cfg.arrival_rate * cfg.dt!r}; a finer dt may resolve it)")
+
+
 def _newton(patience: DistributionSpec, a: float, b: float, base, w, fd, sf, todo) -> int:
     """Bracketed Newton on g(w) = a F_d(w) + 1 - base - b sf(w) = 0 at the entries todo.
 
@@ -476,8 +483,8 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
             previous = base
         else:
             raise NoConvergenceError("no-convergence: window sweeps did not settle")
-        if np.any(queued & (a * patience.mean + 1.0 - base < 0.0)):
-            raise InvariantViolationError("invariant-violation: Q exceeds lambda*N_F")
+        if np.any(rootless := queued & (a * patience.mean + 1.0 - base < 0.0)):
+            raise _violation("Q exceeds lambda*N_F", times[k0 + np.argmax(rootless)], cfg)
         if queued.any():
             g = a * fd + 1.0 - base - b * sf
             worst = max(worst, float(np.max(np.abs(g[queued]))))
@@ -490,8 +497,8 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     virtual = lam * wait
     scheduled = lam * times - virtual
 
-    if scheduled.size > 1 and float(np.min(np.diff(scheduled))) < -1e-12:
-        raise InvariantViolationError("invariant-violation: B nondecreasing")
+    if np.any(falls := np.diff(scheduled) < -1e-12):
+        raise _violation("B nondecreasing", times[np.argmax(falls) + 1], cfg)
 
     return FluidSolution(
         config=cfg, initial=init, times=times,

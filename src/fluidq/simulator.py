@@ -52,6 +52,8 @@ class SimConfig:
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
         if self.num_servers < 1:
             raise ValueError("num_servers must be at least 1")
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
         if any(t < 0.0 or t > self.horizon for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, horizon]")
         if list(self.snapshot_times) != sorted(self.snapshot_times):
@@ -195,11 +197,6 @@ def run(cfg: SimConfig, replication_index: int = 0, arrival_times=None) -> list[
     return snaps
 
 
-def run_replications(cfg: SimConfig) -> list[list[SystemSnapshot]]:
-    """All replications, index-ordered; each owns an independent random stream."""
-    return [run(cfg, i) for i in range(cfg.replications)]
-
-
 def fluid_scale(snap: SystemSnapshot, n: int) -> SystemSnapshot:
     """Divide every count and measure by the server count."""
     s = 1.0 / n
@@ -208,70 +205,25 @@ def fluid_scale(snap: SystemSnapshot, n: int) -> SystemSnapshot:
                             for name, v in values.items()})
 
 
-@dataclass(frozen=True)
-class FluidComparison:
-    """Replication-aggregated distances between scaled snapshots and the fluid solution."""
+def compare_to_fluid(snaps: list[SystemSnapshot], sol: FluidSolution,
+                     profiles: list[MeasureProfiles]) -> np.ndarray:
+    """One replication's gaps to the fluid solution, one column per snapshot: the buffer
+    and server sup distances on the profiles' probe grid, |Q - q| and |Z - z|.
 
-    times: np.ndarray
-    mean_buffer_dist: np.ndarray
-    max_buffer_dist: np.ndarray
-    mean_server_dist: np.ndarray
-    max_server_dist: np.ndarray
-    mean_queue_gap: np.ndarray
-    mean_busy_gap: np.ndarray
-    queue_gap_sup_by_rep: np.ndarray   # sup over snapshot times, per replication
-    busy_gap_final_by_rep: np.ndarray  # |busy gap| at the last snapshot, per replication
-
-    @property
-    def mean_sup_queue_gap(self) -> float:
-        return float(np.mean(self.queue_gap_sup_by_rep))
-
-    @property
-    def mean_final_busy_gap(self) -> float:
-        return float(np.mean(self.busy_gap_final_by_rep))
-
-
-def compare_to_fluid(scaled_reps: list[list[SystemSnapshot]], sol: FluidSolution,
-                     probes, profiles: list[MeasureProfiles]) -> FluidComparison:
-    """Distances per snapshot time, aggregated over replications.
-
-    profiles is sol.profiles(times, probes) for the snapshot times, in order;
-    they depend on neither n nor the replication, so callers build them once.
+    snaps are fluid-scaled; profiles is sol.profiles(times, probes) at their times, in
+    order, and depends on neither n nor the replication, so callers build it once.
     Snapshot times must lie on the fluid grid; a mismatch raises.
     """
-    if not scaled_reps or not scaled_reps[0]:
-        raise ValueError("at least one replication with one snapshot is required")
-    times = [snap.time for snap in scaled_reps[0]]
-    if len(profiles) != len(times):
-        raise ValueError("one fluid profile per snapshot time is required")
-    probes = np.asarray(probes, dtype=float)
-
-    buffer_d = np.empty((len(scaled_reps), len(times)))
-    server_d = np.empty_like(buffer_d)
-    queue_g = np.empty_like(buffer_d)
-    busy_g = np.empty_like(buffer_d)
-    for j, (t, fluid) in enumerate(zip(times, profiles)):
-        k = sol.grid_index(t)
-        for i, rep in enumerate(scaled_reps):
-            snap = rep[j]
-            if snap.time != t:
-                raise ValueError("replications disagree on snapshot times")
-            buffer_d[i, j] = sup_distance(snap.buffer_measure, fluid.buffer, probes)
-            server_d[i, j] = sup_distance(snap.server_measure, fluid.server, probes)
-            queue_g[i, j] = abs(snap.queue_size - sol.queue[k])
-            busy_g[i, j] = abs(snap.busy_servers - sol.busy[k])
-
-    return FluidComparison(
-        times=np.asarray(times),
-        mean_buffer_dist=buffer_d.mean(axis=0),
-        max_buffer_dist=buffer_d.max(axis=0),
-        mean_server_dist=server_d.mean(axis=0),
-        max_server_dist=server_d.max(axis=0),
-        mean_queue_gap=queue_g.mean(axis=0),
-        mean_busy_gap=busy_g.mean(axis=0),
-        queue_gap_sup_by_rep=queue_g.max(axis=1),
-        busy_gap_final_by_rep=busy_g[:, -1].copy(),
-    )
+    if not snaps or len(profiles) != len(snaps):
+        raise ValueError("one fluid profile per snapshot time (at least one) is required")
+    gaps = np.empty((4, len(snaps)))
+    for j, (snap, fluid) in enumerate(zip(snaps, profiles)):
+        k = sol.grid_index(snap.time)
+        probes = fluid.buffer.grid
+        gaps[:, j] = (sup_distance(snap.buffer_measure, fluid.buffer, probes),
+                      sup_distance(snap.server_measure, fluid.server, probes),
+                      abs(snap.queue_size - sol.queue[k]), abs(snap.busy_servers - sol.busy[k]))
+    return gaps
 
 
 def gc_diagnostic(dist: DistributionSpec, sample_count: int, seed: int) -> float:

@@ -31,7 +31,6 @@ from fluidq.simulator import (
     fluid_scale,
     gc_diagnostic,
     run,
-    run_replications,
 )
 
 
@@ -142,11 +141,11 @@ def _convergence_trend(service, seed):
             seed=seed,
             replications=20,
         )
-        reps = run_replications(sim_cfg)
-        scaled = [[fluid_scale(s, n) for s in rep] for rep in reps]
-        comp = compare_to_fluid(scaled, sol, probes, profiles)
-        mean_sup_q.append(comp.mean_sup_queue_gap)
-        final_z[n] = comp.mean_final_busy_gap
+        gaps = np.array([   # (replication, gap, time)
+            compare_to_fluid([fluid_scale(s, n) for s in run(sim_cfg, i)], sol, profiles)
+            for i in range(sim_cfg.replications)])
+        mean_sup_q.append(float(np.mean(gaps[:, 2].max(axis=1))))
+        final_z[n] = float(np.mean(gaps[:, 3, -1]))
     return mean_sup_q, final_z[400]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -155,6 +156,9 @@ EXIT_CASES = {
                                    cli.EXIT_MODE_MISMATCH),
     "snapshot beyond the horizon": ({**_SIM, "snapshot_times": [1.0, 3.0]},
                                     cli.EXIT_MODE_MISMATCH),
+    "profile time beyond the horizon": ({**_SOLVE, "profile_times": [2.0]},
+                                        cli.EXIT_MODE_MISMATCH),
+    "profile time below zero": ({**_SOLVE, "profile_times": [-1.0]}, cli.EXIT_MODE_MISMATCH),
     "ode-check rate not positive": ({"mode": "ode-check", "rho": 1.0, "alpha": 1.0, "mu": 0.0,
                                      "horizon": 1.0}, cli.EXIT_MODE_MISMATCH),
     "arrival rate beyond the float range": ({**_SOLVE, "arrival_rate": 10 ** 400},
@@ -184,6 +188,33 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", [2.0, -1.0])
+def test_profile_time_off_the_horizon_is_rejected_before_any_output(t, tmp_path, capsys):
+    path = _write_config(tmp_path, {**_SOLVE, "profile_times": [0.5, t]})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_MODE_MISMATCH
+    assert capsys.readouterr().err == (
+        f"error: profile_times entry {t!r} lies outside [0, horizon=1.0]\n")
+    assert list(out.iterdir()) == []
+
+
+_COARSE = {"mode": "fluid-solve", "arrival_rate": 100.0,
+           "patience": {"family": "lognormal", "mean": 1.0, "cv": 1.0},
+           "service": {"family": "uniform", "lo": 0.0, "hi": 2.0}, "horizon": 2.0}
+
+
+def test_a_grid_too_coarse_names_the_time_and_arrival_rate_dt(tmp_path, capsys):
+    # lambda dt = 50: the step equation cannot follow the first cells' jump
+    path = _write_config(tmp_path, {**_COARSE, "dt": 0.5})
+    assert cli.main(["--config", path, "--out", str(tmp_path / "coarse")]) == cli.EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "invariant-violation: B nondecreasing fails at t=1.5 "
+        "(arrival_rate*dt = 50.0; a finer dt may resolve it)\n")
+    assert cli.main(["--config", path, "--set", "dt=0.01",
+                     "--out", str(tmp_path / "fine")]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("blocked", ["out under a file", "output file is a directory"])
@@ -247,20 +278,21 @@ def _equilibrium_masses():
     {"r0": 0.4, "server_profile": {"kind": "equilibrium-shaped", "z": 1.0}},
 ], ids=["equilibrium", "kind-equilibrium", "r0-and-z"])
 def test_every_initial_form_seeds_the_simulator(mode, initial, tmp_path, monkeypatch):
-    runs = []
-    run_replications = simulator.run_replications
+    runs = {}   # n -> its replications' snapshots, in index order
+    run = simulator.run
 
-    def record(sim_cfg):
-        reps = run_replications(sim_cfg)
-        runs.append((sim_cfg.num_servers, reps))
-        return reps
+    def record(sim_cfg, replication_index=0):
+        snaps = run(sim_cfg, replication_index)
+        runs.setdefault(sim_cfg.num_servers, []).append(snaps)
+        return snaps
 
-    monkeypatch.setattr(simulator, "run_replications", record)
+    monkeypatch.setattr(simulator, "run", record)
     path = _write_config(tmp_path, {**_SEEDED, "mode": mode, "initial": initial})
     assert cli.main(["--config", path, "--out", str(tmp_path)]) == 0
     r0, z0 = (0.4, 1.0) if isinstance(initial, dict) and "r0" in initial else _equilibrium_masses()
-    assert [n for n, _ in runs] == _SEEDED["n"]
-    for n, reps in runs:
+    assert list(runs) == _SEEDED["n"]
+    assert all(len(reps) == _SEEDED["replications"] for reps in runs.values())
+    for n, reps in runs.items():
         for rep in reps:
             assert rep[0].time == 0.0
             assert rep[0].virtual_size == math.floor(n * r0) > 0
@@ -387,3 +419,41 @@ def test_gc_check_mode(tmp_path, capsys):
     assert doc["sample_count"] == 400
     assert doc["ks_bound_95"] == pytest.approx(1.36 / math.sqrt(400))
     assert "gc_statistic" in capsys.readouterr().out
+
+
+_RATE_NS = [50, 200, 800, 3200]
+
+
+@pytest.mark.parametrize("initial", ["empty", "equilibrium"])
+def test_compare_queue_gap_falls_at_the_root_n_rate(initial, tmp_path):
+    # the fluid limit is a law of large numbers with O(n^-1/2) fluctuations (Whitt, Fluid
+    # models for multiserver queues with abandonments, 2006), so log(mean sup |Q - q|)
+    # falls against log n with slope near -1/2; at seeds 1, 2, 3 and 2026 the fitted
+    # slopes were -0.455 to -0.496 from empty and -0.498 to -0.549 from equilibrium
+    doc = {"mode": "compare", "arrival_rate": 1.5, "patience": EXP,
+           "service": {"family": "lognormal", "mean": 1.0, "cv": 1.0}, "initial": initial,
+           "n": _RATE_NS, "replications": 8, "horizon": 4.0, "seed": 2026,
+           "snapshot_times": [0.5 * i for i in range(1, 9)]}
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["--config", path, "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "compare_report.csv").read_text().splitlines()]
+    gaps = [float(row[6]) for row in rows[1:] if row[1] == "all"]
+    slope = np.polyfit(np.log(_RATE_NS), np.log(gaps), 1)[0]
+    assert -0.65 <= slope <= -0.35, slope
+
+
+def test_compare_report_bytes_are_pinned(tmp_path):
+    # pinned bytes: a change in the order of any mean or maximum over replications or
+    # times moves a last digit here.  Recorded with numpy 2.4 on x86-64; another numpy,
+    # BLAS or host can move a last bit of the profiles and so this digest.
+    hyp = {"family": "hyperexponential", "weights": [0.4, 0.6], "rates": [0.5, 2.0]}
+    doc = {"mode": "compare", "arrival_rate": 1.5, "patience": hyp,
+           "service": {"family": "lognormal", "mean": 1.0, "cv": 1.0},
+           "initial": "equilibrium", "n": [20, 80], "replications": 2, "seed": 3,
+           "horizon": 2.0, "snapshot_times": [0.5, 1.0, 1.5, 2.0]}
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["--config", path, "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "compare_report.csv").read_bytes()
+    assert len(report.splitlines()) == 1 + 2 * 4 + 2
+    assert hashlib.sha256(report).hexdigest() == (
+        "7509e4a65f83159857e4e338dd140d2daf747801b87952054b91f2878a1d8406")

@@ -290,7 +290,8 @@ def test_solve_raises_when_a_settled_step_has_no_root():
     cfg = _cfg(1.0, Uniform(1.0, 1.2), Exponential(1.0), horizon=1.0, dt=0.01)
     init = ValidatedInitial(virtual0=0.0, wait0=0.0, queue0=5.0, busy0=1.0,
                             server_profile=EquilibriumShaped(1.0))
-    with pytest.raises(fluid.InvariantViolationError, match="N_F"):
+    with pytest.raises(fluid.InvariantViolationError,
+                       match=r"N_F fails at t=0\.01 \(arrival_rate\*dt = 0\.01;"):
         solve(cfg, init)
 
 

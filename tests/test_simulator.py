@@ -9,7 +9,7 @@ from fluidq.distributions import Deterministic, Exponential, HyperExponential, L
 from fluidq.equilibrium import equilibrium_state
 from fluidq.fluid import (EquilibriumShaped, FluidConfig, InitialCondition,
                           ServiceComplementShaped, TabulatedProfile, solve, validate_initial)
-from fluidq.measures import TailMeasure
+from fluidq.measures import TailMeasure, sup_distance
 from fluidq.simulator import (
     SimConfig,
     SystemSnapshot,
@@ -18,7 +18,6 @@ from fluidq.simulator import (
     fluid_scale,
     gc_diagnostic,
     run,
-    run_replications,
 )
 
 
@@ -252,9 +251,14 @@ def test_determinism_same_seed_and_index():
         np.testing.assert_array_equal(s1.server_measure.tails, s2.server_measure.tails)
 
 
+def test_sim_config_needs_one_replication():
+    with pytest.raises(ValueError, match="replications must be at least 1"):
+        _mmnm_config(4, replications=0)
+
+
 def test_replications_have_independent_streams():
     cfg = _mmnm_config(4, snapshots=(10.0,), replications=3)
-    reps = run_replications(cfg)
+    reps = [run(cfg, i) for i in range(cfg.replications)]
     assert len(reps) == 3
     sizes = {rep[0].arrivals for rep in reps}
     assert len(sizes) > 1  # streams differ across replication indices
@@ -337,7 +341,7 @@ def test_equilibrium_start_keeps_the_scaled_queue_at_its_fluid_value(n):
     state, init = _equilibrium_start(1.5, Exponential(1.0), Exponential(1.0))
     cfg = _mmnm_config(n, lam=1.5, horizon=2.0, snapshots=np.arange(9) * 0.25,
                        replications=8, initial=init)
-    queue = [[fluid_scale(s, n).queue_size for s in rep] for rep in run_replications(cfg)]
+    queue = [[fluid_scale(s, n).queue_size for s in run(cfg, i)] for i in range(8)]
     gap = np.abs(np.mean(queue, axis=0) - state.queue_mass)
     assert float(np.max(gap)) <= 0.05, gap
 
@@ -363,7 +367,7 @@ def test_stream_is_pinned_for_an_equilibrium_start():
     _, init = _equilibrium_start(1.5, patience, service)
     cfg = SimConfig(30, Exponential(30 * 1.5), patience, service, horizon=3.0,
                     snapshot_times=(0.0, 1.0, 3.0), seed=17, replications=2, initial=init)
-    assert [_pins(rep) for rep in run_replications(cfg)] == [
+    assert [_pins(run(cfg, i)) for i in range(2)] == [
         [((10, 13, 30, 3, 0, 0), "0x1.53488149e776dp+2", "0x1.d1b4cb7d6d5bbp+4"),
          ((14, 21, 30, 22, 30, 53), "0x1.13e42698f8110p+3", "0x1.1bb01802e8be4p+5"),
          ((10, 13, 30, 64, 88, 149), "0x1.caed9e8d79b16p+2", "0x1.219dfc56df62fp+5")],
@@ -378,7 +382,7 @@ def test_stream_is_pinned_across_draw_blocks():
     n = 400
     cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0),
                     horizon=5.0, snapshot_times=(1.0, 3.0, 5.0), seed=23, replications=2)
-    assert [_pins(rep) for rep in run_replications(cfg)] == [
+    assert [_pins(run(cfg, i)) for i in range(2)] == [
         [((4, 4, 400, 0, 185, 589), "0x1.c5a9c82cff048p+1", "0x1.4b20b44836cb8p+8"),
          ((198, 235, 400, 197, 1009, 1804), "0x1.b5f81a239f19fp+7", "0x1.6634ab6474418p+8"),
          ((180, 235, 400, 561, 1859, 3000), "0x1.6922d8be77964p+7", "0x1.9595699fa4564p+8")],
@@ -442,14 +446,19 @@ def test_compare_to_fluid_deterministic_rows():
     sol = solve(fc)
     probes = np.linspace(-4.0, 4.0, 65)
     cfg = _mmnm_config(10, snapshots=(2.0, 4.0), horizon=4.0, replications=2)
-    scaled = [[fluid_scale(s, 10) for s in rep] for rep in run_replications(cfg)]
+    scaled = [[fluid_scale(s, 10) for s in run(cfg, i)] for i in range(2)]
     profiles = sol.profiles([2.0, 4.0], probes)
-    c1 = compare_to_fluid(scaled, sol, probes, profiles)
-    c2 = compare_to_fluid(scaled, sol, probes, profiles)
-    np.testing.assert_array_equal(c1.mean_buffer_dist, c2.mean_buffer_dist)
-    assert c1.queue_gap_sup_by_rep.shape == (2,)
+    c1 = np.array([compare_to_fluid(rep, sol, profiles) for rep in scaled])
+    c2 = np.array([compare_to_fluid(rep, sol, profiles) for rep in scaled])
+    np.testing.assert_array_equal(c1, c2)
+    assert c1.shape == (2, 4, 2)   # (replication, gap, time)
+    for j, (snap, fluid, k) in enumerate(zip(scaled[0], profiles, (2000, 4000))):
+        assert c1[0, :, j].tolist() == [
+            sup_distance(snap.buffer_measure, fluid.buffer, probes),
+            sup_distance(snap.server_measure, fluid.server, probes),
+            abs(snap.queue_size - sol.queue[k]), abs(snap.busy_servers - sol.busy[k])]
     with pytest.raises(ValueError, match="one fluid profile per snapshot time"):
-        compare_to_fluid(scaled, sol, probes, profiles[:1])
+        compare_to_fluid(scaled[0], sol, profiles[:1])
 
 
 def test_compare_to_fluid_rejects_off_grid_snapshots():
@@ -457,10 +466,10 @@ def test_compare_to_fluid_rejects_off_grid_snapshots():
                      horizon=4.0, dt=1e-3)
     sol = solve(fc)
     cfg = _mmnm_config(5, snapshots=(1.00037,), horizon=4.0)
-    scaled = [[fluid_scale(s, 5) for s in run(cfg)]]
+    scaled = [fluid_scale(s, 5) for s in run(cfg)]
     probes = np.linspace(-1.0, 1.0, 9)
     with pytest.raises(ValueError, match="grid"):
-        compare_to_fluid(scaled, sol, probes, sol.profiles([1.0], probes))
+        compare_to_fluid(scaled, sol, sol.profiles([1.0], probes))
 
 
 def test_compare_handles_atomic_distributions():
@@ -470,11 +479,11 @@ def test_compare_handles_atomic_distributions():
     sol = solve(fc)
     cfg = SimConfig(1, Deterministic(1.0), Deterministic(10.0), Deterministic(0.5),
                     horizon=4.0, snapshot_times=(2.0, 4.0))
-    scaled = [[fluid_scale(s, 1) for s in run(cfg)]]
+    scaled = [fluid_scale(s, 1) for s in run(cfg)]
     probes = np.linspace(-4.0, 4.0, 65)
-    comp = compare_to_fluid(scaled, sol, probes, sol.profiles([2.0, 4.0], probes))
-    assert np.all(np.isfinite(comp.mean_buffer_dist))
-    assert np.all(np.isfinite(comp.mean_server_dist))
+    gaps = compare_to_fluid(scaled, sol, sol.profiles([2.0, 4.0], probes))
+    assert np.all(np.isfinite(gaps[0]))
+    assert np.all(np.isfinite(gaps[1]))
 
 
 # ---------------------------------------------------------------- empirical diagnostic
