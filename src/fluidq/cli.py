@@ -84,6 +84,8 @@ def _check_numbers(raw: dict) -> None:
         listed = key in _TIME_LISTS or (key == "n" and isinstance(value, list))
         if listed and not isinstance(value, list):
             raise ConfigError(EXIT_MODE_MISMATCH, f"{key} must be a list, got {value!r}")
+        if key == "n" and value == []:
+            raise ConfigError(EXIT_MODE_MISMATCH, "n must not be an empty list")
         for v in value if listed else [value]:
             _number(v, f"{key} entry" if listed else key, least)
 
@@ -264,6 +266,9 @@ def _snapshot_times(cfg: dict) -> tuple:
 def _sim_configs(cfg: dict, fc: fluid.FluidConfig, init: fluid.ValidatedInitial):
     """One simulator config per n, each seeded from the fluid start state."""
     base_arrival = _dist(cfg, "arrival") if "arrival" in cfg else Exponential(fc.arrival_rate)
+    if abs(base_arrival.mean * fc.arrival_rate - 1.0) > 1e-9:
+        raise ConfigError(EXIT_MODE_MISMATCH, f"arrival mean {base_arrival.mean!r} is not "
+                                              f"1/arrival_rate = {1.0 / fc.arrival_rate!r}")
     ns = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
     for n in map(int, ns):
         yield n, simulator.SimConfig(
@@ -296,8 +301,8 @@ def _run_simulate(cfg: dict, out: str) -> None:
 def _run_compare(cfg: dict, out: str) -> None:
     probes = _probes(cfg)
     fc, init = _fluid_model(cfg)
+    sims = list(_sim_configs(cfg, fc, init))  # validated before the solve
     sol = fluid.solve(fc, init)
-    sims = list(_sim_configs(cfg, fc, init))  # validated before the profiles are built
     times = _snapshot_times(cfg)
     profiles = sol.profiles(times, probes)
     rows, summaries = [], []

@@ -9,7 +9,10 @@ Conventions:
   * mean is the tail area int_0^inf sf(y) dy (the two agree for nonnegative
     lifetimes) and is finite for every family here;
   * support_end is the supremum of the support, math.inf when unbounded:
-    +inf is a first-class sentinel, and consumers must branch on it.
+    +inf is a first-class sentinel, and consumers must branch on it;
+  * the kernels return what numpy returns: an array shaped like the input, or
+    for a scalar input a numpy scalar or 0-d array with no conversion to a
+    Python float, so array callers need no wrap and scalar callers call float().
 """
 
 from __future__ import annotations
@@ -37,20 +40,14 @@ def bisect_increasing(func, y, lo, hi=None):
     y = np.asarray(y, dtype=float)
     if hi is None:
         hi = 1.0
-        while hi <= 1e300 and np.any(np.asarray(func(hi)) < y):
+        while hi <= 1e300 and np.any(func(hi) < y):
             hi *= 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        below = np.asarray(func(mid)) < y
+        below = func(mid) < y
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return hi
-
-
-def _maybe_scalar(x):
-    """Return a python float for 0-d results, the array otherwise."""
-    arr = np.asarray(x)
-    return float(arr) if arr.ndim == 0 else arr
 
 
 class DistributionSpec:
@@ -69,7 +66,7 @@ class DistributionSpec:
 
     def sf(self, x):
         """Complement 1 - cdf(x)."""
-        return _maybe_scalar(1.0 - np.asarray(self.cdf(x)))
+        return 1.0 - self.cdf(x)
 
     def pdf(self, x):
         """Density where one exists."""
@@ -96,7 +93,7 @@ class DistributionSpec:
         y = np.asarray(y, dtype=float)
         inside = (y > 0.0) & (y < self.mean)
         x = bisect_increasing(self.integrated_sf, np.where(inside, y, 0.0), 0.0)
-        return _maybe_scalar(np.where(inside, x, np.where(y <= 0.0, 0.0, self.support_end)))
+        return np.where(inside, x, np.where(y <= 0.0, 0.0, self.support_end))
 
     def equilibrium_cdf(self, x):
         """Stationary-excess distribution: integrated_sf(x) / mean."""
@@ -104,15 +101,17 @@ class DistributionSpec:
         if not (0.0 < m < math.inf):
             raise DistributionError("invalid service distribution: mean must be positive and finite")
         x = np.asarray(x, dtype=float)
-        out = np.asarray(self.integrated_sf(np.maximum(x, 0.0))) / m
-        return _maybe_scalar(np.clip(out, 0.0, 1.0))
+        out = self.integrated_sf(np.maximum(x, 0.0)) / m
+        return np.clip(out, 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-CDF sampling, quantile(rng.random(size)); identical seed gives identical draws.
 
-        quantile of a contiguous array equals entrywise quantile of its 0-d entries, bit
-        for bit, so a caller may draw a block of uniforms and map it in one call without
-        changing a draw; the simulator draws its per-arrival rows that way."""
+        Without size the draw is quantile of one Python float, a numpy scalar or 0-d
+        array.  quantile of a contiguous array equals, element by element, quantile of
+        each entry as a scalar, bit for bit, so a caller may draw a block of uniforms and
+        map it in one call without changing a draw; the simulator draws its per-arrival
+        rows that way."""
         return self.quantile(rng.random(size))
 
     # -- role validation ---------------------------------------------------
@@ -150,22 +149,22 @@ class Exponential(DistributionSpec):
             raise DistributionError("exponential rate must be positive")
 
     def cdf(self, x):
-        return _maybe_scalar(-np.expm1(-self.rate * np.maximum(x, 0.0)))
+        return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
     def sf(self, x):
-        return _maybe_scalar(np.exp(-self.rate * np.maximum(x, 0.0)))
+        return np.exp(-self.rate * np.maximum(x, 0.0))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0))
+        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
-        return _maybe_scalar(-np.log1p(-u) / self.rate)
+        return -np.log1p(-u) / self.rate
 
     def integrated_sf(self, x):
         x = np.asarray(x, dtype=float)
-        return _maybe_scalar(-np.expm1(-self.rate * np.maximum(x, 0.0)) / self.rate)
+        return -np.expm1(-self.rate * np.maximum(x, 0.0)) / self.rate
 
     @property
     def mean(self) -> float:
@@ -186,18 +185,18 @@ class Deterministic(DistributionSpec):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.where(x >= self.value, 1.0, 0.0))
+        return np.where(x >= self.value, 1.0, 0.0)
 
     def pdf(self, x):
         raise DistributionError("deterministic distribution has no density")
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
-        return _maybe_scalar(np.full_like(u, self.value))
+        return np.full_like(u, self.value)
 
     def integrated_sf(self, x):
         x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.clip(x, 0.0, self.value))
+        return np.clip(x, 0.0, self.value)
 
     @property
     def mean(self) -> float:
@@ -226,21 +225,21 @@ class Uniform(DistributionSpec):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.clip((x - self.lo) / self._width, 0.0, 1.0))
+        return np.clip((x - self.lo) / self._width, 0.0, 1.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.where((x >= self.lo) & (x <= self.hi), 1.0 / self._width, 0.0))
+        return np.where((x >= self.lo) & (x <= self.hi), 1.0 / self._width, 0.0)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
-        return _maybe_scalar(self.lo + u * self._width)
+        return self.lo + u * self._width
 
     def integrated_sf(self, x):
         x = np.asarray(x, dtype=float)
         xl = np.clip(x, 0.0, self.lo)
         u = np.clip(x - self.lo, 0.0, self._width)
-        return _maybe_scalar(xl + u - u * u / (2.0 * self._width))
+        return xl + u - u * u / (2.0 * self._width)
 
     @property
     def mean(self) -> float:
@@ -283,23 +282,22 @@ class LogNormal(DistributionSpec):
 
     def cdf(self, x):
         z = self._z(x)
-        return _maybe_scalar(ndtr(z, out=z))
+        return ndtr(z, out=z)
 
     def sf(self, x):
         z = self._z(x)
-        return _maybe_scalar(ndtr(np.negative(z, out=z), out=z))
+        return ndtr(np.negative(z, out=z), out=z)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         pos = x > 0.0
         xs = np.where(pos, x, 1.0)
         z = self._z(xs)
-        out = np.where(pos, np.exp(-0.5 * z * z) / (xs * self.sigma * math.sqrt(2.0 * math.pi)), 0.0)
-        return _maybe_scalar(out)
+        return np.where(pos, np.exp(-0.5 * z * z) / (xs * self.sigma * math.sqrt(2.0 * math.pi)), 0.0)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
-        return _maybe_scalar(np.exp(self.mu + self.sigma * ndtri(u)))
+        return np.exp(self.mu + self.sigma * ndtri(u))
 
     def integrated_sf(self, x):
         # int_0^x sf = x sf(x) + E[Y] Phi((ln x - mu)/sigma - sigma),
@@ -308,8 +306,7 @@ class LogNormal(DistributionSpec):
         pos = x > 0.0
         xs = np.where(pos, x, 1.0)
         z = self._z(xs)
-        out = np.where(pos, xs * ndtr(-z) + self.mean * ndtr(z - self.sigma), 0.0)
-        return _maybe_scalar(out)
+        return np.where(pos, xs * ndtr(-z) + self.mean * ndtr(z - self.sigma), 0.0)
 
     @property
     def mean(self) -> float:
@@ -321,6 +318,10 @@ class LogNormal(DistributionSpec):
 
 @dataclass(frozen=True)
 class HyperExponential(DistributionSpec):
+    """A mixture of exponential phases.  cdf, pdf and integrated_sf add the phases in one
+    builtin sum, left to right from 0 as numpy sums a short axis, so integrated_sf keeps
+    its -0.0 at x <= 0."""
+
     weights: tuple
     rates: tuple
 
@@ -336,39 +337,31 @@ class HyperExponential(DistributionSpec):
         if abs(sum(w) - 1.0) > 1e-9:
             raise DistributionError("hyperexponential weights must sum to 1")
 
-    def _w(self):
-        return np.asarray(self.weights), np.asarray(self.rates)
-
     def cdf(self, x):
-        w, r = self._w()
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
-        out = -np.sum(w * np.expm1(-np.multiply.outer(xp, r)), axis=-1)
-        return _maybe_scalar(np.where(x > 0.0, out, 0.0))
+        out = -sum(w * np.expm1(-r * xp) for w, r in zip(self.weights, self.rates))
+        return np.where(x > 0.0, out, 0.0)
 
     def pdf(self, x):
-        w, r = self._w()
         x = np.asarray(x, dtype=float)
-        out = np.sum(w * r * np.exp(-np.multiply.outer(np.maximum(x, 0.0), r)), axis=-1)
-        return _maybe_scalar(np.where(x >= 0.0, out, 0.0))
+        xp = np.maximum(x, 0.0)
+        out = sum(w * r * np.exp(-r * xp) for w, r in zip(self.weights, self.rates))
+        return np.where(x >= 0.0, out, 0.0)
 
     def quantile(self, u):
         # single-uniform inverse CDF via vectorized bisection; the mixture CDF
         # is strictly increasing, and sf(x) <= exp(-min(rates) x) brackets it.
         u = np.asarray(u, dtype=float)
-        return _maybe_scalar(bisect_increasing(self.cdf, u, np.zeros_like(u),
-                                               -np.log1p(-u) / min(self.rates)))
+        return bisect_increasing(self.cdf, u, np.zeros_like(u), -np.log1p(-u) / min(self.rates))
 
     def integrated_sf(self, x):
-        w, r = self._w()
-        x = np.asarray(x, dtype=float)
-        out = -np.sum((w / r) * np.expm1(-np.multiply.outer(np.maximum(x, 0.0), r)), axis=-1)
-        return _maybe_scalar(out)
+        xp = np.maximum(x, 0.0)
+        return -sum(w / r * np.expm1(-r * xp) for w, r in zip(self.weights, self.rates))
 
     @property
     def mean(self) -> float:
-        w, r = self._w()
-        return float(np.sum(w / r))
+        return sum(w / r for w, r in zip(self.weights, self.rates))
 
     def time_scaled(self, factor: float) -> "HyperExponential":
         return HyperExponential(self.weights, tuple(r / factor for r in self.rates))

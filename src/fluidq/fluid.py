@@ -110,8 +110,7 @@ class EquilibriumShaped(ServerProfile):
         return self.busy_mass
 
     def tail(self, service, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return self.busy_mass * (1.0 - np.asarray(service.equilibrium_cdf(x)))
+        return self.busy_mass * (1.0 - service.equilibrium_cdf(x))
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,7 @@ class ServiceComplementShaped(ServerProfile):
         return self.busy_mass
 
     def tail(self, service, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return self.busy_mass * np.asarray(service.sf(x))
+        return self.busy_mass * service.sf(x)
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,7 @@ class TabulatedProfile(ServerProfile):
         return self.measure.total
 
     def tail(self, service, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return np.asarray(self.measure.tail_at(x))
+        return self.measure.tail_at(np.maximum(x, 0.0))
 
 
 EMPTY_SERVERS = EmptyServers()
@@ -210,18 +207,14 @@ def survival_at_offered_wait(arrival_rate: float, patience: DistributionSpec, qu
     Nonincreasing in q, equal to 0 from arrival_rate times the patience tail
     area onward.
     """
-    wait = np.asarray(patience.integrated_sf_inverse(np.asarray(queue_mass) / arrival_rate))
+    wait = patience.integrated_sf_inverse(np.asarray(queue_mass) / arrival_rate)
     # past an unbounded support sf is 0 exactly, not 1 minus a rounded sum of weights
-    out = np.where(np.isinf(wait), 0.0, np.asarray(patience.sf(wait)))
-    return float(out) if out.ndim == 0 else out
+    return np.where(np.isinf(wait), 0.0, patience.sf(wait))
 
 
 def initial_load(cfg: FluidConfig, init: ValidatedInitial, t):
     """Fluid still present at time t from the initial state alone."""
-    t = np.asarray(t, dtype=float)
-    out = np.asarray(init.server_tail(cfg.service, t), dtype=float)
-    out = out + init.queue0 * np.asarray(cfg.service.sf(t))
-    return float(out) if out.ndim == 0 else out
+    return init.server_tail(cfg.service, t) + init.queue0 * cfg.service.sf(t)
 
 
 # -- measure profiles ------------------------------------------------------------
@@ -244,8 +237,8 @@ def virtual_buffer_tail(arrival_rate: float, patience: DistributionSpec, virtual
     fd = patience.integrated_sf
     buf = arrival_rate * (
         np.clip(-probes, 0.0, wait)
-        + np.asarray(fd(np.maximum(probes + wait, 0.0)))
-        - np.asarray(fd(np.maximum(probes, 0.0)))
+        + fd(np.maximum(probes + wait, 0.0))
+        - fd(np.maximum(probes, 0.0))
     )
     return TailMeasure(probes, np.maximum(buf, 0.0), virtual_mass, "linear")
 
@@ -298,20 +291,20 @@ class FluidSolution:
         positive = probes[probes > 0.0]
         kmax = max(ks, default=0)
         waits_mid = 0.5 * (self.virtual[:kmax] + self.virtual[1 : kmax + 1]) / lam
-        coeff = np.asarray(cfg.patience.sf(waits_mid)) * np.diff(self.scheduled[: kmax + 1])
+        coeff = cfg.patience.sf(waits_mid) * np.diff(self.scheduled[: kmax + 1])
         lags = (np.arange(kmax - 1, -1, -1) + 0.5) * cfg.dt
         started = np.zeros((len(ks), positive.size))
         rows = max(8, _PROFILE_CELLS // max(kmax, 1) // 8 * 8)
         for i in range(0, positive.size if kmax else 0, rows):
-            table = np.asarray(cfg.service.sf(positive[i : i + rows, None] + lags))
+            table = cfg.service.sf(positive[i : i + rows, None] + lags)
             for c, k in enumerate(ks):
                 started[c, i : i + rows] = table[:, kmax - k :] @ coeff[:k]
             del table  # freed before the next block is built
-        sf_lags = np.asarray(cfg.service.sf(lags))
+        sf_lags = cfg.service.sf(lags)
         out = []
         for t, k, sums in zip(times, ks, started):
-            tails = np.asarray(self.initial.server_tail(cfg.service, positive + t)) + sums
-            total = (float(self.initial.server_tail(cfg.service, np.asarray(t)))
+            tails = self.initial.server_tail(cfg.service, positive + t) + sums
+            total = (float(self.initial.server_tail(cfg.service, t))
                      + float(sf_lags[kmax - k :] @ coeff[:k]))
             tails = np.concatenate((np.full(probes.size - positive.size, total), tails))
             tails = np.minimum.accumulate(np.minimum(np.maximum(tails, 0.0), total))
@@ -367,7 +360,7 @@ def _newton(patience: DistributionSpec, a: float, b: float, base, w, fd, sf, tod
         lo[todo] = np.where(below, wt, lo[todo])
         hi[todo] = np.where(below, hi[todo], wt)
         l, h = lo[todo], hi[todo]
-        slope = a * sf[todo] + b * np.asarray(patience.pdf(wt))
+        slope = a * sf[todo] + b * patience.pdf(wt)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = wt - g / slope   # not finite where g' vanishes
         inside = (l < newton) & (newton < h)
@@ -434,7 +427,7 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     steps = int(round(cfg.horizon / cfg.dt))
     times = np.arange(steps + 1) * cfg.dt
     inc = _increments(cfg, times)
-    history = np.asarray(initial_load(cfg, init, times))   # plus each square's far sums
+    history = initial_load(cfg, init, times)   # plus each square's far sums
     a = lam * (1.0 - inc[1, 0])     # g'(w) = a sf(w) + b pdf(w)
     b = rho * inc[0, 0]
     sf0 = float(patience.sf(0.0))
@@ -518,7 +511,7 @@ def check_queue_drain_monotone(sol: FluidSolution) -> float:
     survival at the solved offered wait R/arrival_rate.
     """
     cfg = sol.config
-    h_vals = np.asarray(cfg.patience.sf(sol.virtual / cfg.arrival_rate))
+    h_vals = cfg.patience.sf(sol.virtual / cfg.arrival_rate)
     integral = np.concatenate(
         [[0.0], np.cumsum(0.5 * (h_vals[:-1] + h_vals[1:]) * cfg.dt)]
     )
@@ -538,7 +531,7 @@ def fixed_point_residual(sol: FluidSolution) -> float:
     cfg = sol.config
     steps = sol.times.size - 1
     increments = _increments(cfg, sol.times)
-    load = np.asarray(initial_load(cfg, sol.initial, sol.times))
+    load = initial_load(cfg, sol.initial, sol.times)
     surv = survival_at_offered_wait(cfg.arrival_rate, cfg.patience, sol.queue)
     size = 1 << (2 * steps - 2).bit_length()
     spectra = np.fft.rfft([surv[1:], sol.queue[1:]], size) * np.fft.rfft(increments, size)

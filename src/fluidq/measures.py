@@ -55,11 +55,9 @@ class TailMeasure:
         """Evaluate the tail function; below the grid returns total, above returns the last value."""
         x = np.asarray(x, dtype=float)
         if self.interpolation == "linear":
-            out = np.interp(x, self.grid, self.tails, left=self.total, right=self.tails[-1])
-        else:
-            idx = np.searchsorted(self.grid, x, side="right") - 1
-            out = np.where(idx < 0, self.total, self.tails[np.clip(idx, 0, self.grid.size - 1)])
-        return float(out) if out.ndim == 0 else out
+            return np.interp(x, self.grid, self.tails, left=self.total, right=self.tails[-1])
+        idx = np.searchsorted(self.grid, x, side="right") - 1
+        return np.where(idx < 0, self.total, self.tails[np.clip(idx, 0, self.grid.size - 1)])
 
     def inverse_tail(self, q):
         """Smallest x with tail(x) <= q, by interpolation on the stored tails."""
@@ -67,8 +65,7 @@ class TailMeasure:
         # tails are nonincreasing; flip for np.interp
         out = np.interp(q, self.tails[::-1], self.grid[::-1])
         out = np.where(q >= self.tails[0], self.grid[0], out)
-        out = np.where(q <= self.tails[-1], self.grid[-1], out)
-        return float(out) if out.ndim == 0 else out
+        return np.where(q <= self.tails[-1], self.grid[-1], out)
 
     def scaled(self, factor: float) -> "TailMeasure":
         return TailMeasure(self.grid, self.tails * factor, self.total * factor, self.interpolation)
@@ -84,7 +81,7 @@ def sup_distance(m1: TailMeasure, m2: TailMeasure, probes) -> float:
     probes = np.asarray(probes, dtype=float)
     if probes.size == 0:
         raise ValueError("probes must be nonempty")
-    gap = np.max(np.abs(np.asarray(m1.tail_at(probes)) - np.asarray(m2.tail_at(probes))))
+    gap = np.max(np.abs(m1.tail_at(probes) - m2.tail_at(probes)))
     return float(max(gap, abs(m1.total - m2.total)))
 
 

@@ -235,12 +235,12 @@ def gc_diagnostic(dist: DistributionSpec, sample_count: int, seed: int) -> float
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6C)))
-    samples = np.asarray(dist.sample(rng, sample_count), dtype=float)
+    samples = dist.sample(rng, sample_count)
     lo = min(0.0, float(samples.min()))
     hi = float(samples.max())
     if hi <= lo:
         hi = lo + 1.0
     probes = np.linspace(lo, hi, 512)
     empirical = TailMeasure.from_samples(samples, 1.0 / sample_count)
-    gaps = np.abs(np.asarray(empirical.tail_at(probes)) - np.asarray(dist.sf(probes)))
+    gaps = np.abs(empirical.tail_at(probes) - dist.sf(probes))
     return float(np.max(gaps))

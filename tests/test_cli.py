@@ -131,6 +131,14 @@ EXIT_CASES = {
                                  cli.EXIT_MODE_MISMATCH),
     "bad arrival distribution": ({**_SIM, "arrival": {"family": "weibull"}},
                                  cli.EXIT_MODE_MISMATCH),
+    "arrival mean off 1/arrival_rate": ({**_SIM, "arrival": {"family": "exponential", "rate": 5.0}},
+                                        cli.EXIT_MODE_MISMATCH),
+    "arrival mean off 1/arrival_rate in compare": (
+        {**_SIM, "mode": "compare", "n": [4], "arrival_rate": 1.5,
+         "arrival": {"family": "exponential", "rate": 5.0}}, cli.EXIT_MODE_MISMATCH),
+    "empty server-count list in simulate": ({**_SIM, "n": []}, cli.EXIT_MODE_MISMATCH),
+    "empty server-count list in compare": ({**_SIM, "mode": "compare", "n": []},
+                                           cli.EXIT_MODE_MISMATCH),
     "distribution rate a string": ({**_SOLVE, "patience": {"family": "exponential", "rate": "a"}},
                                    cli.EXIT_MODE_MISMATCH),
     "distribution rate a bool": ({**_SOLVE, "patience": {"family": "exponential", "rate": True}},
@@ -188,6 +196,12 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_an_arrival_law_of_mean_one_over_arrival_rate_runs(tmp_path):
+    doc = {**_SIM, "arrival": {"family": "uniform", "lo": 0.0, "hi": 2.0 / 1.2}}
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sim_n4_rep000.csv").exists()
 
 
 @pytest.mark.parametrize("t", [2.0, -1.0])

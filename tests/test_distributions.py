@@ -11,6 +11,7 @@ from fluidq.distributions import (
     HyperExponential,
     LogNormal,
     Uniform,
+    bisect_increasing,
     distribution_from_dict,
 )
 from fluidq.fluid import survival_at_offered_wait
@@ -109,9 +110,60 @@ def test_unmasked_kernels_equal_the_masked_formulas_bit_for_bit(dist, method):
     kernel = getattr(dist, method)
     assert np.asarray(kernel(x)).tobytes() == oracle(dist, x).tobytes()
     for edge in _KERNEL_EDGES:
-        got = kernel(edge)
-        assert type(got) is float and got.hex() == float(oracle(dist, np.asarray(edge))).hex()
+        got = float(kernel(edge)).hex()   # a scalar gives what numpy gives: no float round trip
+        assert got == float(kernel(np.array([edge]))[0]).hex()
+        assert got == float(oracle(dist, np.asarray(edge))).hex()
     assert math.isnan(kernel(math.nan))  # the masks read nan as <= 0; it now stays nan
+
+
+# the mixture kernels as written with np.multiply.outer and np.sum(axis=-1), kept as oracles
+
+def _outer_cdf(d, x):
+    w, r = np.asarray(d.weights), np.asarray(d.rates)
+    out = -np.sum(w * np.expm1(-np.multiply.outer(np.maximum(x, 0.0), r)), axis=-1)
+    return np.where(x > 0.0, out, 0.0)
+
+
+def _outer_pdf(d, x):
+    w, r = np.asarray(d.weights), np.asarray(d.rates)
+    out = np.sum(w * r * np.exp(-np.multiply.outer(np.maximum(x, 0.0), r)), axis=-1)
+    return np.where(x >= 0.0, out, 0.0)
+
+
+def _outer_integrated_sf(d, x):
+    w, r = np.asarray(d.weights), np.asarray(d.rates)
+    return -np.sum((w / r) * np.expm1(-np.multiply.outer(np.maximum(x, 0.0), r)), axis=-1)
+
+
+_OUTER_KERNELS = {"cdf": _outer_cdf, "pdf": _outer_pdf, "integrated_sf": _outer_integrated_sf}
+_MIXTURE_EDGES = [0.0, -0.0, -1.0, 5e-324, math.inf, -math.inf]
+_UNIFORM_EDGES = [0.0, 5e-324, 1.0 - 2.0**-53]
+
+
+def _mixture(phases):
+    rng = np.random.default_rng(phases)
+    weights = rng.dirichlet(np.ones(phases))
+    return HyperExponential(tuple(weights), tuple(np.exp(rng.uniform(-3.0, 3.0, phases))))
+
+
+@pytest.mark.parametrize("phases", [2, 3, 7])
+def test_mixture_sums_equal_the_outer_formulas_bit_for_bit(phases):
+    # up to 7 phases numpy sums the short axis left to right from 0, as the builtin sum
+    # does; from 8 on it unrolls the sum, and the last bit may move
+    dist = _mixture(phases)
+    rng = np.random.default_rng(phases + 40)
+    x = np.concatenate((_MIXTURE_EDGES, rng.lognormal(0.0, 3.0, 100_000) / max(dist.rates),
+                        rng.normal(0.0, 2.0, 10_000)))
+    for method, oracle in _OUTER_KERNELS.items():
+        kernel = getattr(dist, method)
+        assert kernel(x).tobytes() == oracle(dist, x).tobytes(), method
+        for edge in _MIXTURE_EDGES:
+            assert float(kernel(edge)).hex() == float(oracle(dist, np.asarray(edge))).hex()
+    u = np.concatenate((_UNIFORM_EDGES, rng.random(100_000)))
+    want = bisect_increasing(lambda y: _outer_cdf(dist, y), u, np.zeros_like(u),
+                             -np.log1p(-u) / min(dist.rates))
+    assert dist.quantile(u).tobytes() == want.tobytes()
+    assert dist.mean == float(np.sum(np.divide(dist.weights, dist.rates)))
 
 
 # ---------------------------------------------------------------- equilibrium cdf
