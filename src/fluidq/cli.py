@@ -21,8 +21,8 @@ import numpy as np
 
 from . import equilibrium as eq
 from . import expode, fluid, simulator
-from .distributions import (DistributionError, DistributionSpec, Exponential,
-                            distribution_from_dict, is_finite_number)
+from .distributions import (DistributionError, Exponential, distribution_from_dict,
+                            is_finite_number)
 from .measures import uniform_probes
 
 EXIT_OK = 0
@@ -114,8 +114,21 @@ def _check_times(raw: dict) -> None:
                           f"horizon {raw['horizon']!r} is not a multiple of dt={dt!r}")
 
 
+def _build_laws(raw: dict) -> None:
+    """Each law literal in raw replaced by the law it names, built once."""
+    for key in ("patience", "service", "arrival", "distribution"):
+        if key in raw:
+            try:
+                raw[key] = distribution_from_dict(raw[key])
+            except DistributionError as exc:
+                raise ConfigError(EXIT_MODE_MISMATCH, f"invalid {key!r} distribution: {exc}") from exc
+
+
 def parse_config(path: str, overrides: dict | None = None) -> dict:
-    """Strict parse: unknown keys are errors; MODE_KEYS fills the mode's defaults."""
+    """Strict parse: unknown keys are errors; MODE_KEYS fills the mode's defaults.
+
+    Each law comes back built, so a bad law fails here, before any output exists.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -152,14 +165,8 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
         raise ConfigError(EXIT_MODE_MISMATCH, f"out must be a directory name, got {raw['out']!r}")
     _check_numbers(raw)
     _check_times(raw)
+    _build_laws(raw)
     return raw
-
-
-def _dist(cfg: dict, key: str) -> DistributionSpec:
-    try:
-        return distribution_from_dict(cfg[key])
-    except DistributionError as exc:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid {key!r} distribution: {exc}") from exc
 
 
 def _probes(cfg: dict) -> np.ndarray:
@@ -214,7 +221,7 @@ def _fluid_model(cfg: dict):
     """The fluid config and its validated initial state, which also seeds the simulator."""
     fc = fluid.FluidConfig(
         arrival_rate=float(cfg["arrival_rate"]),
-        patience=_dist(cfg, "patience"), service=_dist(cfg, "service"),
+        patience=cfg["patience"], service=cfg["service"],
         horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
     )
     return fc, fluid.validate_initial(fc, _initial_condition(cfg, fc))
@@ -238,8 +245,7 @@ def _run_fluid_solve(cfg: dict, out: str) -> None:
 
 
 def _run_equilibrium(cfg: dict, out: str) -> None:
-    state = eq.equilibrium_state(
-        float(cfg["arrival_rate"]), _dist(cfg, "patience"), _dist(cfg, "service"))
+    state = eq.equilibrium_state(float(cfg["arrival_rate"]), cfg["patience"], cfg["service"])
     doc = state.to_json_dict()
     with open(os.path.join(out, "equilibrium.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -265,7 +271,7 @@ def _snapshot_times(cfg: dict) -> tuple:
 
 def _sim_configs(cfg: dict, fc: fluid.FluidConfig, init: fluid.ValidatedInitial):
     """One simulator config per n, each seeded from the fluid start state."""
-    base_arrival = _dist(cfg, "arrival") if "arrival" in cfg else Exponential(fc.arrival_rate)
+    base_arrival = cfg["arrival"] if "arrival" in cfg else Exponential(fc.arrival_rate)
     if abs(base_arrival.mean * fc.arrival_rate - 1.0) > 1e-9:
         raise ConfigError(EXIT_MODE_MISMATCH, f"arrival mean {base_arrival.mean!r} is not "
                                               f"1/arrival_rate = {1.0 / fc.arrival_rate!r}")
@@ -325,8 +331,9 @@ def _run_compare(cfg: dict, out: str) -> None:
 
 def _run_gc_check(cfg: dict, out: str) -> None:
     count = int(cfg["sample_count"])
-    stat = simulator.gc_diagnostic(_dist(cfg, "distribution"), count, int(cfg["seed"]))
-    doc = {"family": cfg["distribution"]["family"], "sample_count": count,
+    law = cfg["distribution"]
+    stat = simulator.gc_diagnostic(law, count, int(cfg["seed"]))
+    doc = {"family": law.family, "sample_count": count,
            "statistic": stat, "ks_bound_95": 1.36 / math.sqrt(count)}
     with open(os.path.join(out, "gc_check.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -12,16 +12,18 @@ Conventions:
     +inf is a first-class sentinel, and consumers must branch on it;
   * the kernels return what numpy returns: an array shaped like the input, or
     for a scalar input a numpy scalar or 0-d array with no conversion to a
-    Python float, so array callers need no wrap and scalar callers call float().
+    Python float, so array callers need no wrap and scalar callers call float();
+  * scipy.special, the source of LogNormal's ndtr and ndtri, is imported where
+    a LogNormal is built, in its __post_init__: every other family runs on
+    numpy alone, and a program that builds no lognormal law never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 
 class DistributionError(ValueError):
@@ -53,6 +55,8 @@ def bisect_increasing(func, y, lo, hi=None):
 class DistributionSpec:
     """Base class for parametric lifetime distributions."""
 
+    #: The family's name in a config literal, e.g. "exponential"; each family sets it.
+    family: str
     #: True when the CDF has a jump (only the Deterministic family here).
     has_atoms = False
     #: sup{x : F(x) < 1}; Deterministic and Uniform override the unbounded default.
@@ -143,6 +147,7 @@ class DistributionSpec:
 @dataclass(frozen=True)
 class Exponential(DistributionSpec):
     rate: float
+    family = "exponential"
 
     def __post_init__(self):
         if not self.rate > 0.0:
@@ -177,6 +182,7 @@ class Exponential(DistributionSpec):
 @dataclass(frozen=True)
 class Deterministic(DistributionSpec):
     value: float
+    family = "deterministic"
     has_atoms = True
 
     def __post_init__(self):
@@ -214,6 +220,7 @@ class Deterministic(DistributionSpec):
 class Uniform(DistributionSpec):
     lo: float
     hi: float
+    family = "uniform"
 
     def __post_init__(self):
         if not (0.0 <= self.lo < self.hi):
@@ -257,11 +264,14 @@ class Uniform(DistributionSpec):
 class LogNormal(DistributionSpec):
     mu: float
     sigma: float
+    family = "lognormal"
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0.0 < self.sigma
                 and self.mu + 0.5 * self.sigma * self.sigma <= math.log(np.finfo(float).max)):
             raise DistributionError("lognormal needs a finite mu, a positive sigma and a finite mean")
+        global ndtr, ndtri   # bound for the kernels by the first lognormal law built
+        from scipy.special import ndtr, ndtri
 
     @classmethod
     def from_mean_cv(cls, mean: float, cv: float) -> "LogNormal":
@@ -324,6 +334,7 @@ class HyperExponential(DistributionSpec):
 
     weights: tuple
     rates: tuple
+    family = "hyperexponential"
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
@@ -367,13 +378,8 @@ class HyperExponential(DistributionSpec):
         return HyperExponential(self.weights, tuple(r / factor for r in self.rates))
 
 
-_FAMILIES = {
-    "exponential": (Exponential, ("rate",)),
-    "deterministic": (Deterministic, ("value",)),
-    "uniform": (Uniform, ("lo", "hi")),
-    "lognormal": (LogNormal, ("mu", "sigma")),
-    "hyperexponential": (HyperExponential, ("weights", "rates")),
-}
+_FAMILIES = {cls.family: cls for cls in (Exponential, Deterministic, Uniform, LogNormal,
+                                          HyperExponential)}
 
 
 def is_finite_number(value) -> bool:
@@ -409,7 +415,8 @@ def distribution_from_dict(spec: dict) -> DistributionSpec:
         return LogNormal.from_mean_cv(_number(spec["mean"], "mean"), _number(spec.get("cv", 1.0), "cv"))
     if not isinstance(family, str) or family not in _FAMILIES:
         raise DistributionError(f"unknown distribution family: {family!r}")
-    cls, params = _FAMILIES[family]
+    cls = _FAMILIES[family]
+    params = [f.name for f in fields(cls)]
     extra = set(spec) - {"family", *params}
     if extra:
         raise DistributionError(f"unknown distribution parameter(s): {sorted(extra)}")

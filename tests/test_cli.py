@@ -1,6 +1,10 @@
+import ast
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,7 +83,21 @@ _SOLVE = {"mode": "fluid-solve", "arrival_rate": 1.2, "patience": EXP, "service"
 _SIM = {"mode": "simulate", "arrival_rate": 1.2, "patience": EXP, "service": EXP,
         "n": 4, "horizon": 2.0, "snapshot_times": [1.0, 2.0], "replications": 1}
 
+# one bad law per law key, each in a mode that reads it: (key, config)
+_BAD_LAWS = {
+    "lognormal patience of negative cv": ("patience", {
+        **_SOLVE, "patience": {"family": "lognormal", "mean": 1.0, "cv": -1.0}}),
+    "equilibrium service with lo above hi": ("service", {
+        "mode": "equilibrium", "arrival_rate": 1.2, "patience": EXP,
+        "service": {"family": "uniform", "lo": 2.0, "hi": 1.0}}),
+    "weibull arrival in compare": ("arrival", {
+        **_SIM, "mode": "compare", "n": [4], "arrival": {"family": "weibull"}}),
+    "gc-check law of negative rate": ("distribution", {
+        "mode": "gc-check", "distribution": {"family": "exponential", "rate": -1.0}}),
+}
+
 EXIT_CASES = {
+    **{case: (doc, cli.EXIT_MODE_MISMATCH) for case, (_, doc) in _BAD_LAWS.items()},
     "missing file": (None, cli.EXIT_MISSING_FILE),
     "malformed JSON": ("{mode: fluid-solve", cli.EXIT_MALFORMED),
     "unknown key": ({**_SOLVE, "lamda": 2.0}, cli.EXIT_UNKNOWN_KEY),
@@ -196,6 +214,46 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LAWS))
+def test_a_bad_law_exits_5_before_the_output_directory_is_made(case, tmp_path, capsys):
+    key, doc = _BAD_LAWS[case]
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == (
+        cli.EXIT_MODE_MISMATCH)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: invalid {key!r} distribution: ")
+    assert not out.exists()
+
+
+def _scipy_modules_after(code: str, *args: str) -> list:
+    """The scipy modules a fresh interpreter holds after it runs code with sys.argv[1:] = args."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_scipy_is_imported_only_where_a_lognormal_law_is_built(tmp_path):
+    docs = {"solve": _SOLVE,
+            "ode": {"mode": "ode-check", "rho": 1.2, "alpha": 1.0, "mu": 1.0, "horizon": 1.0,
+                    "dt": 0.01},
+            "gc": {"mode": "gc-check", "distribution": EXP, "sample_count": 1000}}
+    paths = [_write_config(tmp_path, doc, f"{name}.json") for name, doc in docs.items()]
+    runs = ("import fluidq, fluidq.cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    if fluidq.cli.main(['--config', path, '--out', path + '.out']):\n"
+            "        sys.exit(path)")
+    assert _scipy_modules_after(runs, *paths) == []
+    lognormal = _write_config(tmp_path, {**_SOLVE, "patience": {
+        "family": "lognormal", "mean": 1.0, "cv": 1.0}}, "logn.json")
+    assert "scipy.special" in _scipy_modules_after(
+        "import fluidq.cli; fluidq.cli.parse_config(sys.argv[1])", lognormal)
+    assert "scipy.special" in _scipy_modules_after(
+        "from fluidq import LogNormal; LogNormal.from_mean_cv(1, 1)")
 
 
 def test_an_arrival_law_of_mean_one_over_arrival_rate_runs(tmp_path):
