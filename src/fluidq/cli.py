@@ -2,7 +2,9 @@
 
 One JSON config file drives a run; --set key=value overrides individual
 fields for sweep scripting.  MODE_KEYS is the one table of each mode's keys:
-it gives each key its default, or marks it required.  Exit codes: 0 success,
+it gives each key its default, or marks it required.  parse_config is the one
+check phase: it returns every input built and typed, so the mode runners only
+compute and write, and out is made with the first file.  Exit codes: 0 success,
 1 solver invariant violation, 2 missing config file, 3 malformed JSON,
 4 unknown key, 5 invalid input (mode/field mismatch, bad values,
 distributions or initial states, or a fluid step that does not converge).
@@ -11,7 +13,6 @@ distributions or initial states, or a fluid step that does not converge).
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import os
@@ -67,16 +68,18 @@ class ConfigError(Exception):
         self.exit_code = exit_code
 
 
-def _number(value, what: str, least=None) -> float:
-    """value as a float if it is a finite JSON number, and a whole one >= least when least is given."""
+def _number(value, what: str, least=None):
+    """value as a float if it is a finite JSON number, as an int if it is a whole one >= least."""
     ok = is_finite_number(value) and (least is None or float(value).is_integer() and value >= least)
     if not ok:
         kind = "a finite number" if least is None else f"a whole number >= {least}"
         raise ConfigError(EXIT_MODE_MISMATCH, f"{what} must be {kind}, got {value!r}")
-    return float(value)
+    return float(value) if least is None else int(value)
 
 
-def _check_numbers(raw: dict) -> None:
+def _numbers(raw: dict) -> dict:
+    """Each numeric field of raw, checked and typed: n as a list, the times as a tuple."""
+    typed = {}
     for key, least in _NUMERIC_KEYS.items():
         if key not in raw:
             continue
@@ -86,8 +89,10 @@ def _check_numbers(raw: dict) -> None:
             raise ConfigError(EXIT_MODE_MISMATCH, f"{key} must be a list, got {value!r}")
         if key == "n" and value == []:
             raise ConfigError(EXIT_MODE_MISMATCH, "n must not be an empty list")
-        for v in value if listed else [value]:
-            _number(v, f"{key} entry" if listed else key, least)
+        entries = [_number(v, f"{key} entry" if listed else key, least)
+                   for v in (value if listed else [value])]
+        typed[key] = entries if key == "n" else tuple(entries) if listed else entries[0]
+    return typed
 
 
 def _off_grid(t: float, dt: float) -> bool:
@@ -124,10 +129,50 @@ def _build_laws(raw: dict) -> None:
                 raise ConfigError(EXIT_MODE_MISMATCH, f"invalid {key!r} distribution: {exc}") from exc
 
 
-def parse_config(path: str, overrides: dict | None = None) -> dict:
-    """Strict parse: unknown keys are errors; MODE_KEYS fills the mode's defaults.
+def _fluid_config(cfg: dict) -> fluid.FluidConfig:
+    return fluid.FluidConfig(**{key: cfg[key] for key in (*_LAWS, *_GRID)})
 
-    Each law comes back built, so a bad law fails here, before any output exists.
+
+_SERVER_SHAPES = {"equilibrium-shaped": fluid.EquilibriumShaped,
+                  "service-complement": fluid.ServiceComplementShaped}
+
+
+def _initial_condition(spec, fc: fluid.FluidConfig) -> fluid.InitialCondition:
+    if spec in (None, "empty"):
+        return fluid.InitialCondition()
+    if spec in ("equilibrium", {"kind": "equilibrium"}):
+        return eq.equilibrium_state(fc.arrival_rate, fc.patience, fc.service).initial_condition()
+    if not (isinstance(spec, dict) and set(spec) <= {"r0", "server_profile"}):
+        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid initial condition spec: {spec!r}")
+    profile_spec = spec.get("server_profile", {"kind": "empty"})
+    kind = profile_spec.get("kind", "empty") if isinstance(profile_spec, dict) else None
+    keys = {"kind"} if kind == "empty" else {"kind", "z"}   # an empty profile has no mass z
+    if kind not in ("empty", *_SERVER_SHAPES) or not set(profile_spec) <= keys:
+        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid server profile {profile_spec!r}")
+    if kind == "empty":
+        profile = fluid.EMPTY_SERVERS
+    else:
+        profile = _SERVER_SHAPES[kind](_number(profile_spec.get("z"), f"{kind} server profile z"))
+    r0 = _number(spec.get("r0", 0.0), "initial r0")
+    return fluid.InitialCondition(virtual_buffer_mass=r0, server_profile=profile)
+
+
+def _probes(spec, horizon: float) -> np.ndarray:
+    spec = spec or {}
+    if not (isinstance(spec, dict) and set(spec) <= {"lo", "hi", "count"}):
+        raise ConfigError(EXIT_MODE_MISMATCH,
+                          f"probes must be an object with keys lo, hi and count, got {spec!r}")
+    return uniform_probes(_number(spec.get("lo", -horizon), "probes lo"),
+                          _number(spec.get("hi", horizon), "probes hi"),
+                          _number(spec.get("count", 512), "probes count", least=2))
+
+
+def parse_config(path: str, overrides: dict | None = None) -> dict:
+    """Strict parse, the CLI's one check phase: unknown keys are errors; MODE_KEYS fills defaults.
+
+    Each input comes back built under its key: numbers as float, or int where a whole one
+    is asked for; n as a list, the time lists as tuples; laws as DistributionSpecs; probes
+    as the grid array; initial as the fluid.ValidatedInitial of the mode's FluidConfig.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -160,30 +205,34 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
                           f"mode {mode!r} requires missing field(s): {', '.join(missing)}")
     for key, default in keys.items():
         if default is not REQUIRED and default is not OPTIONAL:
-            raw.setdefault(key, copy.deepcopy(default))
+            raw.setdefault(key, default)   # a list or dict default comes back rebuilt
     if not (isinstance(raw["out"], str) and raw["out"]):
         raise ConfigError(EXIT_MODE_MISMATCH, f"out must be a directory name, got {raw['out']!r}")
-    _check_numbers(raw)
-    _check_times(raw)
+    typed = _numbers(raw)
+    _check_times(raw)   # before the typed numbers replace the raw ones, which its messages quote
+    raw.update(typed)
     _build_laws(raw)
+    if "initial" in raw:   # fluid-solve, simulate and compare start the fluid model
+        fc = _fluid_config(raw)
+        raw["initial"] = fluid.validate_initial(fc, _initial_condition(raw["initial"], fc))
+    if "probes" in raw:
+        raw["probes"] = _probes(raw["probes"], raw["horizon"])
+    if "arrival" in raw and abs(raw["arrival"].mean * raw["arrival_rate"] - 1.0) > 1e-9:
+        raise ConfigError(EXIT_MODE_MISMATCH, f"arrival mean {raw['arrival'].mean!r} is not "
+                                              f"1/arrival_rate = {1.0 / raw['arrival_rate']!r}")
     return raw
 
 
-def _probes(cfg: dict) -> np.ndarray:
-    spec = cfg["probes"] or {}
-    if not (isinstance(spec, dict) and set(spec) <= {"lo", "hi", "count"}):
-        raise ConfigError(EXIT_MODE_MISMATCH,
-                          f"probes must be an object with keys lo, hi and count, got {spec!r}")
-    horizon = float(cfg["horizon"])
-    return uniform_probes(_number(spec.get("lo", -horizon), "probes lo"),
-                          _number(spec.get("hi", horizon), "probes hi"),
-                          int(_number(spec.get("count", 512), "probes count", least=2)))
+def _create(out: str, name: str):
+    """out/name open for writing; out is made here, so a run that writes nothing leaves no out."""
+    os.makedirs(out, exist_ok=True)
+    return open(os.path.join(out, name), "w", encoding="utf-8", newline="")
 
 
-def _write_csv(path: str, header: list, rows) -> None:
+def _write_csv(out: str, name: str, header: list, rows) -> None:
     """One line per row by one %-template: floats as %.17g, every other cell as str()."""
     templates = {}   # cell types of a row -> its line template
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(out, name) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             kinds = tuple(map(type, row))
@@ -193,104 +242,57 @@ def _write_csv(path: str, header: list, rows) -> None:
             fh.write(templates[kinds] % tuple(row))
 
 
-_SERVER_SHAPES = {"equilibrium-shaped": fluid.EquilibriumShaped,
-                  "service-complement": fluid.ServiceComplementShaped}
-
-
-def _initial_condition(cfg: dict, fc: fluid.FluidConfig) -> fluid.InitialCondition:
-    spec = cfg["initial"]
-    if spec in (None, "empty"):
-        return fluid.InitialCondition()
-    if spec in ("equilibrium", {"kind": "equilibrium"}):
-        return eq.equilibrium_state(fc.arrival_rate, fc.patience, fc.service).initial_condition()
-    if not (isinstance(spec, dict) and set(spec) <= {"r0", "server_profile"}):
-        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid initial condition spec: {spec!r}")
-    profile_spec = spec.get("server_profile", {"kind": "empty"})
-    kind = profile_spec.get("kind", "empty") if isinstance(profile_spec, dict) else None
-    if kind not in ("empty", *_SERVER_SHAPES) or not set(profile_spec) <= {"kind", "z"}:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid server profile {profile_spec!r}")
-    if kind == "empty":
-        profile = fluid.EMPTY_SERVERS
-    else:
-        profile = _SERVER_SHAPES[kind](_number(profile_spec.get("z"), f"{kind} server profile z"))
-    r0 = _number(spec.get("r0", 0.0), "initial r0")
-    return fluid.InitialCondition(virtual_buffer_mass=r0, server_profile=profile)
-
-
-def _fluid_model(cfg: dict):
-    """The fluid config and its validated initial state, which also seeds the simulator."""
-    fc = fluid.FluidConfig(
-        arrival_rate=float(cfg["arrival_rate"]),
-        patience=cfg["patience"], service=cfg["service"],
-        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
-    )
-    return fc, fluid.validate_initial(fc, _initial_condition(cfg, fc))
+def _write_json(out: str, name: str, doc: dict) -> None:
+    with _create(out, name) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # -- mode runners ---------------------------------------------------------------
 
 
 def _run_fluid_solve(cfg: dict, out: str) -> None:
-    probes = _probes(cfg)
-    sol = fluid.solve(*_fluid_model(cfg))
-    _write_csv(os.path.join(out, "trajectory.csv"), ["t", "X", "Q", "Z", "R", "B"],
+    sol = fluid.solve(_fluid_config(cfg), cfg["initial"])
+    _write_csv(out, "trajectory.csv", ["t", "X", "Q", "Z", "R", "B"],
                np.column_stack((sol.times, sol.system, sol.queue, sol.busy, sol.virtual,
                                 sol.scheduled)).tolist())
-    times = [float(t) for t in cfg["profile_times"]]
+    probes, times = cfg["probes"], cfg["profile_times"]
     for t, profiles in zip(times, sol.profiles(times, probes)):
-        _write_csv(os.path.join(out, f"profiles_t{t:g}.csv"),
-                   ["x", "buffer_tail", "server_tail"],
+        _write_csv(out, f"profiles_t{t:g}.csv", ["x", "buffer_tail", "server_tail"],
                    np.column_stack((probes, profiles.buffer.tail_at(probes),
                                     profiles.server.tail_at(probes))).tolist())
 
 
 def _run_equilibrium(cfg: dict, out: str) -> None:
-    state = eq.equilibrium_state(float(cfg["arrival_rate"]), cfg["patience"], cfg["service"])
-    doc = state.to_json_dict()
-    with open(os.path.join(out, "equilibrium.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doc = eq.equilibrium_state(cfg["arrival_rate"], cfg["patience"], cfg["service"]).to_json_dict()
+    _write_json(out, "equilibrium.json", doc)
     print(json.dumps(doc, sort_keys=True))
 
 
 def _run_ode_check(cfg: dict, out: str) -> None:
     result = expode.cross_check(expode.ExpOdeConfig(
-        service_rate=float(cfg["mu"]), patience_rate=float(cfg["alpha"]),
-        traffic_intensity=float(cfg["rho"]), x0=float(cfg["x0"]),
-        horizon=float(cfg["horizon"]), dt=float(cfg["dt"]),
+        service_rate=cfg["mu"], patience_rate=cfg["alpha"], traffic_intensity=cfg["rho"],
+        x0=cfg["x0"], horizon=cfg["horizon"], dt=cfg["dt"],
     ))
-    _write_csv(os.path.join(out, "ode_check.csv"), ["t", "X_ode", "X_fluid", "diff"],
+    _write_csv(out, "ode_check.csv", ["t", "X_ode", "X_fluid", "diff"],
                np.column_stack((result.times, result.ode, result.fluid,
                                 np.abs(result.fluid - result.ode))).tolist())
     print(f"sup_diff = {result.sup_diff:.6e}")
 
 
-def _snapshot_times(cfg: dict) -> tuple:
-    return tuple(float(t) for t in cfg.get("snapshot_times", [cfg["horizon"]]))
-
-
-def _sim_configs(cfg: dict, fc: fluid.FluidConfig, init: fluid.ValidatedInitial):
+def _sim_configs(cfg: dict):
     """One simulator config per n, each seeded from the fluid start state."""
-    base_arrival = cfg["arrival"] if "arrival" in cfg else Exponential(fc.arrival_rate)
-    if abs(base_arrival.mean * fc.arrival_rate - 1.0) > 1e-9:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"arrival mean {base_arrival.mean!r} is not "
-                                              f"1/arrival_rate = {1.0 / fc.arrival_rate!r}")
-    ns = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
-    for n in map(int, ns):
+    arrival = cfg["arrival"] if "arrival" in cfg else Exponential(cfg["arrival_rate"])
+    for n in cfg["n"]:
         yield n, simulator.SimConfig(
-            num_servers=n,
-            interarrival=base_arrival.time_scaled(1.0 / n),
-            patience=fc.patience, service=fc.service,
-            horizon=fc.horizon,
-            snapshot_times=_snapshot_times(cfg),
-            seed=int(cfg["seed"]),
-            replications=int(cfg["replications"]),
-            initial=init,
-        )
+            num_servers=n, interarrival=arrival.time_scaled(1.0 / n),
+            patience=cfg["patience"], service=cfg["service"], horizon=cfg["horizon"],
+            snapshot_times=cfg.get("snapshot_times", (cfg["horizon"],)),
+            seed=cfg["seed"], replications=cfg["replications"], initial=cfg["initial"])
 
 
 def _run_simulate(cfg: dict, out: str) -> None:
-    for n, sim_cfg in _sim_configs(cfg, *_fluid_model(cfg)):
+    for n, sim_cfg in _sim_configs(cfg):
         for i in range(sim_cfg.replications):
             rows = []
             for s in simulator.run(sim_cfg, i):
@@ -299,20 +301,17 @@ def _run_simulate(cfg: dict, out: str) -> None:
                              s.system_size, s.abandoned, s.completed,
                              scaled.queue_size, scaled.virtual_size,
                              scaled.busy_servers, scaled.system_size])
-            _write_csv(os.path.join(out, f"sim_n{n}_rep{i:03d}.csv"),
+            _write_csv(out, f"sim_n{n}_rep{i:03d}.csv",
                        ["t", "Q", "R", "Z", "X", "abandoned", "completed",
                         "Q_scaled", "R_scaled", "Z_scaled", "X_scaled"], rows)
 
 
 def _run_compare(cfg: dict, out: str) -> None:
-    probes = _probes(cfg)
-    fc, init = _fluid_model(cfg)
-    sims = list(_sim_configs(cfg, fc, init))  # validated before the solve
-    sol = fluid.solve(fc, init)
-    times = _snapshot_times(cfg)
-    profiles = sol.profiles(times, probes)
+    sol = fluid.solve(_fluid_config(cfg), cfg["initial"])
+    times = cfg["snapshot_times"]
+    profiles = sol.profiles(times, cfg["probes"])
     rows, summaries = [], []
-    for n, sim_cfg in sims:
+    for n, sim_cfg in _sim_configs(cfg):
         gaps = np.array([   # (replication, gap, time)
             simulator.compare_to_fluid([simulator.fluid_scale(s, n)
                                         for s in simulator.run(sim_cfg, i)], sol, profiles)
@@ -324,20 +323,16 @@ def _run_compare(cfg: dict, out: str) -> None:
         summaries.append([n, "all", float(np.mean(means[0])), float(np.max(means[1])),
                           float(np.mean(means[2])), float(np.max(means[3])),
                           float(np.mean(queue.max(axis=1))), float(np.mean(busy[:, -1]))])
-    _write_csv(os.path.join(out, "compare_report.csv"),
+    _write_csv(out, "compare_report.csv",
                ["n", "t", "mean_dist_buffer", "max_dist_buffer", "mean_dist_server",
                 "max_dist_server", "mean_absQ", "mean_absZ"], rows + summaries)
 
 
 def _run_gc_check(cfg: dict, out: str) -> None:
-    count = int(cfg["sample_count"])
-    law = cfg["distribution"]
-    stat = simulator.gc_diagnostic(law, count, int(cfg["seed"]))
-    doc = {"family": law.family, "sample_count": count,
-           "statistic": stat, "ks_bound_95": 1.36 / math.sqrt(count)}
-    with open(os.path.join(out, "gc_check.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    count, law = cfg["sample_count"], cfg["distribution"]
+    stat = simulator.gc_diagnostic(law, count, cfg["seed"])
+    _write_json(out, "gc_check.json", {"family": law.family, "sample_count": count,
+                                       "statistic": stat, "ks_bound_95": 1.36 / math.sqrt(count)})
     print(f"gc_statistic = {stat:.6e}")
 
 
@@ -371,9 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, dict(_parse_override(s) for s in args.set))
-        out = args.out or cfg["out"]
-        os.makedirs(out, exist_ok=True)
-        _RUNNERS[cfg["mode"]](cfg, out)
+        _RUNNERS[cfg["mode"]](cfg, args.out or cfg["out"])
         return EXIT_OK
     except fluid.InvariantViolationError as exc:
         print(str(exc), file=sys.stderr)

@@ -169,12 +169,16 @@ def validate_initial(cfg: FluidConfig, init: InitialCondition) -> ValidatedIniti
 
     The queue mass is pinned by the buffer equation: queue0 equals
     arrival_rate times the integrated patience survival at the elapsed-wait
-    window virtual0/arrival_rate.  A positive queue requires full servers,
-    the busy mass cannot exceed one, and tabulated profiles must be atomless
-    at grid resolution with no mass at remaining time zero.
+    window virtual0/arrival_rate, which is finite: a queue of arrival_rate
+    times the patience mean has no such window.  A positive queue requires
+    full servers, the busy mass cannot exceed one, and tabulated profiles must
+    be atomless at grid resolution with no mass at remaining time zero.
     """
     lam = cfg.arrival_rate
     r0 = float(init.virtual_buffer_mass)
+    if not math.isfinite(r0):
+        raise InvalidInitialError("invalid-init: virtual buffer mass must be finite; a queue "
+                                  "of lambda*N_F or more has no offered wait")
     if r0 < 0.0:
         raise InvalidInitialError("invalid-init: virtual buffer mass must be nonnegative")
     w0 = r0 / lam

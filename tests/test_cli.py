@@ -31,6 +31,11 @@ def test_parse_minimal_fluid_solve_fills_defaults(tmp_path):
     assert cfg["dt"] == 1e-3
     assert cfg["horizon"] == 10.0
     assert cfg["seed"] == 12345
+    # every input comes back built and typed, so the runners only compute
+    assert type(cfg["seed"]) is int and type(cfg["dt"]) is float
+    assert cfg["profile_times"] == ()
+    assert isinstance(cfg["probes"], np.ndarray) and cfg["probes"].shape == (512,)
+    assert isinstance(cfg["initial"], fluid.ValidatedInitial)
 
 
 def test_unknown_key_is_exit_code_4(tmp_path):
@@ -199,6 +204,20 @@ EXIT_CASES = {
                                               cli.EXIT_MODE_MISMATCH),
     "probes key misspelled": ({**_SOLVE, "probes": {"cnt": 8}}, cli.EXIT_MODE_MISMATCH),
     "out null": ({**_SOLVE, "out": None}, cli.EXIT_MODE_MISMATCH),
+    "horizon below dt": ({**_SOLVE, "horizon": -1}, cli.EXIT_MODE_MISMATCH),
+    "ode-check start beyond the buffer's reach": (   # x0 >= 1 + rho mu / alpha = 2.5
+        {"mode": "ode-check", "rho": 1.5, "alpha": 1.0, "mu": 1.0, "x0": 3}, cli.EXIT_MODE_MISMATCH),
+    "z on an empty server profile": ({**_SOLVE, "initial": {"r0": 0.0, "server_profile": {
+                                          "kind": "empty", "z": 1}}}, cli.EXIT_MODE_MISMATCH),
+}
+
+# the exact stderr line of some cases
+EXIT_MESSAGES = {
+    "horizon below dt": "error: horizon must be at least dt",
+    "ode-check start beyond the buffer's reach": (
+        "error: invalid-init: virtual buffer mass must be finite; "
+        "a queue of lambda*N_F or more has no offered wait"),
+    "z on an empty server profile": "error: invalid server profile {'kind': 'empty', 'z': 1}",
 }
 
 
@@ -210,10 +229,14 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys, mon
     path = tmp_path / "config.json"
     if doc is not None:
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == expected
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == expected
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    if case in EXIT_MESSAGES:
+        assert err == EXIT_MESSAGES[case] + "\n"
+    assert not out.exists()   # out is made with the first file, and a failed run writes none
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_LAWS))

@@ -52,6 +52,7 @@ def test_rk4_order():
         (0.8, 1.0, 1.0, 0.0, 1e-3),
         (2.0, 2.0, 1.0, 0.0, 2e-3),
         (1.2, 1.0, 1.0, 0.0, 1e-3),
+        (1.5, 1.0, 1.0, 2.4, 1e-3),   # a queued start the buffer can hold: x0 < 1 + rho mu / alpha
     ],
 )
 def test_cross_check_bounds(rho, alpha, mu, x0, bound):

@@ -59,6 +59,17 @@ def test_validate_initial_rejects_queue_without_full_servers():
         validate_initial(cfg, init)
 
 
+@pytest.mark.parametrize("r0", [math.inf, math.nan])
+def test_validate_initial_rejects_a_virtual_buffer_mass_that_is_not_finite(r0):
+    # an infinite buffer holds the largest queue, lambda N_F, which no offered wait reaches
+    cfg = _cfg(1.5, Exponential(1.0), Exponential(1.0))
+    init = InitialCondition(r0)
+    with pytest.raises(InvalidInitialError, match="virtual buffer mass must be finite"):
+        validate_initial(cfg, init)
+    with pytest.raises(InvalidInitialError, match="virtual buffer mass must be finite"):
+        solve(cfg, init)
+
+
 def test_validate_initial_rejects_atom_at_zero():
     cfg = _cfg(1.0, Exponential(1.0), Exponential(1.0))
     jumpy = TailMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.4]), 0.9, "linear")
