@@ -53,7 +53,6 @@ MODE_KEYS = {
 }
 MODES = tuple(MODE_KEYS)
 _ALL_KEYS = set(_COMMON_KEYS).union(*MODE_KEYS.values())
-_GRID_MODES = {"fluid-solve", "ode-check", "compare"}   # modes that march a dt grid
 # numeric fields, each with the least whole value it takes (None: any finite number)
 _NUMERIC_KEYS = {"arrival_rate": None, "horizon": None, "dt": None,
                  "rho": None, "alpha": None, "mu": None, "x0": None,
@@ -77,8 +76,10 @@ def _number(value, what: str, least=None):
     return float(value) if least is None else int(value)
 
 
-def _numbers(raw: dict) -> dict:
-    """Each numeric field of raw, checked and typed: n as a list, the times as a tuple."""
+def _numbers(raw: dict, keys: dict) -> dict:
+    """Each numeric field of raw, checked and typed: n as a list, the times as a tuple.
+
+    A list the mode requires (keys) must not be empty; snapshot times must be sorted."""
     typed = {}
     for key, least in _NUMERIC_KEYS.items():
         if key not in raw:
@@ -87,36 +88,14 @@ def _numbers(raw: dict) -> dict:
         listed = key in _TIME_LISTS or (key == "n" and isinstance(value, list))
         if listed and not isinstance(value, list):
             raise ConfigError(EXIT_MODE_MISMATCH, f"{key} must be a list, got {value!r}")
-        if key == "n" and value == []:
-            raise ConfigError(EXIT_MODE_MISMATCH, "n must not be an empty list")
+        if value == [] and keys[key] is REQUIRED:
+            raise ConfigError(EXIT_MODE_MISMATCH, f"{key} must not be an empty list")
         entries = [_number(v, f"{key} entry" if listed else key, least)
                    for v in (value if listed else [value])]
+        if key == "snapshot_times" and entries != sorted(entries):
+            raise ConfigError(EXIT_MODE_MISMATCH, f"snapshot_times must be sorted, got {value!r}")
         typed[key] = entries if key == "n" else tuple(entries) if listed else entries[0]
     return typed
-
-
-def _off_grid(t: float, dt: float) -> bool:
-    return abs(t - round(t / dt) * dt) > 1e-12 * max(1.0, abs(t))
-
-
-def _check_times(raw: dict) -> None:
-    """Every snapshot and profile time on the dt grid and in [0, horizon]."""
-    if "dt" not in raw:  # equilibrium and gc-check keep no time grid
-        return
-    dt, horizon = float(raw["dt"]), float(raw["horizon"])
-    if not dt > 0.0:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"dt must be positive, got {dt!r}")
-    for key in ("snapshot_times", "profile_times"):
-        for t in raw.get(key, []):
-            if not 0.0 <= t <= horizon:
-                raise ConfigError(EXIT_MODE_MISMATCH,
-                                  f"{key} entry {t!r} lies outside [0, horizon={horizon!r}]")
-            if _off_grid(t, dt):
-                raise ConfigError(EXIT_MODE_MISMATCH,
-                                  f"{key} entry {t!r} is not a multiple of dt={dt!r}")
-    if raw["mode"] in _GRID_MODES and _off_grid(horizon, dt):
-        raise ConfigError(EXIT_MODE_MISMATCH,
-                          f"horizon {raw['horizon']!r} is not a multiple of dt={dt!r}")
 
 
 def _build_laws(raw: dict) -> None:
@@ -208,12 +187,16 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
             raw.setdefault(key, default)   # a list or dict default comes back rebuilt
     if not (isinstance(raw["out"], str) and raw["out"]):
         raise ConfigError(EXIT_MODE_MISMATCH, f"out must be a directory name, got {raw['out']!r}")
-    typed = _numbers(raw)
-    _check_times(raw)   # before the typed numbers replace the raw ones, which its messages quote
-    raw.update(typed)
+    raw.update(_numbers(raw, keys))
     _build_laws(raw)
     if "initial" in raw:   # fluid-solve, simulate and compare start the fluid model
         fc = _fluid_config(raw)
+        for key in _TIME_LISTS & raw.keys():
+            for t in raw[key]:
+                try:
+                    fc.grid_index(t, f"{key} entry")
+                except fluid.FluidModelError as exc:
+                    raise ConfigError(EXIT_MODE_MISMATCH, str(exc)) from exc
         raw["initial"] = fluid.validate_initial(fc, _initial_condition(raw["initial"], fc))
     if "probes" in raw:
         raw["probes"] = _probes(raw["probes"], raw["horizon"])

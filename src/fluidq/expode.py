@@ -28,8 +28,8 @@ class ExpOdeConfig:
     def __post_init__(self):
         if not (self.service_rate > 0.0 and self.patience_rate > 0.0):
             raise ValueError("rates must be positive")
-        if self.traffic_intensity < 0.0:
-            raise ValueError("traffic intensity must be nonnegative")
+        if not self.traffic_intensity > 0.0:
+            raise ValueError("traffic intensity rho must be positive")
 
 
 def drift(cfg: ExpOdeConfig, x: float) -> float:
@@ -71,13 +71,13 @@ def cross_check(cfg: ExpOdeConfig) -> CrossCheckResult:
     The initial state spreads min(x0, 1) busy mass with exponential residuals
     (the stationary-excess law coincides with the service law) and backs out
     the virtual-buffer mass that yields queue mass (x0 - 1)^+, so the initial
-    load decays exactly as x0 * exp(-mu t).
+    load decays exactly as x0 * exp(-mu t).  solve runs first, so a start beyond
+    the buffer's reach or a horizon off the dt grid fails before the RK4 sweep.
     """
-    times, x_ode = integrate(cfg)
     lam = cfg.traffic_intensity * cfg.service_rate
     patience = Exponential(cfg.patience_rate)
     q0 = max(cfg.x0 - 1.0, 0.0)
-    r0 = lam * patience.integrated_sf_inverse(q0 / lam) if lam > 0.0 else 0.0
+    r0 = lam * patience.integrated_sf_inverse(q0 / lam)
     fluid_cfg = FluidConfig(
         arrival_rate=lam,
         patience=patience,
@@ -90,5 +90,6 @@ def cross_check(cfg: ExpOdeConfig) -> CrossCheckResult:
         server_profile=EquilibriumShaped(min(cfg.x0, 1.0)),
     )
     sol = solve(fluid_cfg, init)
+    times, x_ode = integrate(cfg)
     diff = float(np.max(np.abs(sol.system - x_ode)))
     return CrossCheckResult(times=times, ode=x_ode, fluid=sol.system, sup_diff=diff)

@@ -77,6 +77,24 @@ class FluidConfig:
     def traffic_intensity(self) -> float:
         return self.arrival_rate * self.service.mean
 
+    def grid_index(self, t: float, what: str = "time") -> int:
+        """The k with t = k dt, t in [0, horizon]: the package's one grid rule.
+
+        Both hold up to 1e-12 max(1, |t|), so k dt, a running sum of dt and the last grid
+        time, which rounding can put just past the horizon, all lie on the grid."""
+        tol = 1e-12 * max(1.0, abs(t))
+        if not 0.0 <= t <= self.horizon + tol:
+            raise FluidModelError(f"{what} {t!r} lies outside [0, horizon={self.horizon!r}]")
+        k = int(round(t / self.dt))
+        if abs(t - k * self.dt) > tol:
+            raise FluidModelError(f"{what} {t!r} is not on the grid of dt={self.dt!r}")
+        return k
+
+    @property
+    def steps(self) -> int:
+        """Grid steps up to the horizon, which must lie on the grid."""
+        return self.grid_index(self.horizon, "horizon")
+
 
 # -- initial conditions -----------------------------------------------------
 
@@ -263,10 +281,7 @@ class FluidSolution:
     max_step_residual: float = 0.0   # worst |g| of a step's accepted root
 
     def grid_index(self, t: float) -> int:
-        k = int(round(t / self.config.dt))
-        if k < 0 or k >= self.times.size or abs(t - self.times[k]) > 1e-9 * max(1.0, abs(t)):
-            raise FluidModelError(f"time {t!r} is not on the solution grid")
-        return k
+        return self.config.grid_index(t)
 
     def measures_at(self, t: float, probes) -> MeasureProfiles:
         """Materialize buffer and server tail measures at a grid time."""
@@ -413,10 +428,10 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     raises.  inner_iterations sums every step's step-equation evaluations
     over all sweeps; max_step_residual is the worst |g| of the final roots.
 
-    Raises DistributionError if the service law has atoms or the patience
-    law neither a Lipschitz CDF nor a bounded hazard, NoConvergenceError if
-    a step exceeds the iteration cap and InvariantViolationError if a
-    settled step has no root or the scheduled mass decreases.
+    Raises FluidModelError if the horizon is off the dt grid, DistributionError
+    if the service law has atoms or the patience law neither a Lipschitz CDF nor
+    a bounded hazard, NoConvergenceError if a step exceeds the iteration cap and
+    InvariantViolationError if a settled step has no root or the scheduled mass decreases.
     """
     cfg.service.validate_as_service()
     cfg.patience.validate_as_patience()
@@ -428,7 +443,7 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
     lam = cfg.arrival_rate
     rho = cfg.traffic_intensity
     patience = cfg.patience
-    steps = int(round(cfg.horizon / cfg.dt))
+    steps = cfg.steps
     times = np.arange(steps + 1) * cfg.dt
     inc = _increments(cfg, times)
     history = initial_load(cfg, init, times)   # plus each square's far sums

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from fluidq import cli, fluid, simulator
+from fluidq import cli, expode, fluid, simulator
 from fluidq.distributions import Exponential
 from fluidq.equilibrium import equilibrium_state
 from fluidq.fluid import EquilibriumShaped, FluidConfig, InitialCondition, solve
@@ -209,6 +209,16 @@ EXIT_CASES = {
         {"mode": "ode-check", "rho": 1.5, "alpha": 1.0, "mu": 1.0, "x0": 3}, cli.EXIT_MODE_MISMATCH),
     "z on an empty server profile": ({**_SOLVE, "initial": {"r0": 0.0, "server_profile": {
                                           "kind": "empty", "z": 1}}}, cli.EXIT_MODE_MISMATCH),
+    "compare with snapshots out of order": ({**_SIM, "mode": "compare", "n": [4],
+                                             "snapshot_times": [2.0, 1.0]}, cli.EXIT_MODE_MISMATCH),
+    "ode-check start beyond the buffer's reach at H=100": (
+        {"mode": "ode-check", "rho": 1.5, "alpha": 1.0, "mu": 1.0, "x0": 3, "horizon": 100.0,
+         "dt": 1e-3}, cli.EXIT_MODE_MISMATCH),
+    "ode-check traffic intensity zero": ({"mode": "ode-check", "rho": 0, "alpha": 1.0, "mu": 1.0,
+                                          "horizon": 1.0}, cli.EXIT_MODE_MISMATCH),
+    "ode-check horizon off the dt grid": ({"mode": "ode-check", "rho": 1.5, "alpha": 1.0,
+                                           "mu": 1.0, "horizon": 1.0, "dt": 0.3},
+                                          cli.EXIT_MODE_MISMATCH),
 }
 
 # the exact stderr line of some cases
@@ -218,6 +228,19 @@ EXIT_MESSAGES = {
         "error: invalid-init: virtual buffer mass must be finite; "
         "a queue of lambda*N_F or more has no offered wait"),
     "z on an empty server profile": "error: invalid server profile {'kind': 'empty', 'z': 1}",
+    "compare without snapshots": "error: snapshot_times must not be an empty list",
+    "compare with snapshots out of order": "error: snapshot_times must be sorted, got [2.0, 1.0]",
+    "ode-check traffic intensity zero": "error: traffic intensity rho must be positive",
+    "ode-check horizon off the dt grid": "error: horizon 1.0 is not on the grid of dt=0.3",
+}
+
+# cases that must exit before the work they would waste: the functions never called
+_NOT_REACHED = {
+    "compare without snapshots": [(fluid, "solve"), (simulator, "run")],
+    "compare with snapshots out of order": [(fluid, "solve")],
+    "ode-check start beyond the buffer's reach at H=100": [(expode, "integrate")],
+    "ode-check traffic intensity zero": [(expode, "integrate")],
+    "ode-check horizon off the dt grid": [(expode, "integrate")],
 }
 
 
@@ -237,6 +260,56 @@ def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys, mon
     if case in EXIT_MESSAGES:
         assert err == EXIT_MESSAGES[case] + "\n"
     assert not out.exists()   # out is made with the first file, and a failed run writes none
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_REACHED))
+def test_a_bad_input_exits_before_the_work_it_would_waste(case, tmp_path, monkeypatch):
+    def spy(name):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{name} ran for a bad input")
+        return reached
+
+    for module, name in _NOT_REACHED[case]:
+        monkeypatch.setattr(module, name, spy(name))
+    doc, expected = EXIT_CASES[case]
+    assert cli.main(["--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == expected
+
+
+def _running_sum(dt, k):
+    t = 0.0
+    for _ in range(k):
+        t += dt
+    return t
+
+
+# times against the grid of _SOLVE (dt 0.01, horizon 1): (t, its index, or None if off the grid)
+_GRID_TIMES = {
+    "k dt": (37 * 0.01, 37),
+    "horizon as k dt": (100 * 0.01, 100),
+    "running sum of dt": (_running_sum(0.01, 70), 70),
+    "running sum of dt to the horizon": (_running_sum(0.01, 100), 100),   # 1 + 7e-16
+    "1e-10 off the grid, relative": (0.37 * (1.0 + 1e-10), None),
+}
+
+
+@pytest.mark.parametrize("route", ["FluidConfig", "FluidSolution", "parse_config"])
+@pytest.mark.parametrize("case", sorted(_GRID_TIMES))
+def test_one_grid_rule_for_the_library_and_the_cli(case, route, tmp_path):
+    t, k = _GRID_TIMES[case]
+    if route == "parse_config":
+        path = _write_config(tmp_path, {**_SOLVE, "profile_times": [t]})
+        check, error = (lambda: cli.parse_config(path)["profile_times"] == (t,)), cli.ConfigError
+    else:
+        fc = FluidConfig(arrival_rate=1.2, patience=Exponential(1.0), service=Exponential(1.0),
+                         horizon=1.0, dt=0.01)
+        owner = fc if route == "FluidConfig" else solve(fc)
+        check, error = (lambda: owner.grid_index(t) == k), fluid.FluidModelError
+    if k is None:
+        with pytest.raises(error, match="grid"):
+            check()
+    else:
+        assert check()
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_LAWS))

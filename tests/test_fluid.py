@@ -504,6 +504,11 @@ def test_measures_at_server_probe_sets(probes, monkeypatch):
     assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
 
 
+def test_solve_rejects_a_horizon_off_the_dt_grid():
+    with pytest.raises(fluid.FluidModelError, match="horizon 1.0 is not on the grid of dt=0.3"):
+        solve(_cfg(1.2, Exponential(1.0), Exponential(1.0), horizon=1.0, dt=0.3))
+
+
 def test_measures_at_rejects_off_grid_times():
     sol = solve(_cfg(1.0, Exponential(1.0), Exponential(1.0), horizon=1.0))
     with pytest.raises(ValueError, match="grid"):
