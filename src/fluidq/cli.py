@@ -4,10 +4,12 @@ One JSON config file drives a run; --set key=value overrides individual
 fields for sweep scripting.  MODE_KEYS is the one table of each mode's keys:
 it gives each key its default, or marks it required.  parse_config is the one
 check phase: it returns every input built and typed, so the mode runners only
-compute and write, and out is made with the first file.  Exit codes: 0 success,
-1 solver invariant violation, 2 missing config file, 3 malformed JSON,
-4 unknown key, 5 invalid input (mode/field mismatch, bad values,
-distributions or initial states, or a fluid step that does not converge).
+compute and write, and out is made with the first file.  simulate and compare
+run their replications in forked processes, one per CPU this process may use,
+and write the same bytes as in process.  Exit codes: 0 success, 1 solver
+invariant violation, 2 missing config file, 3 malformed JSON, 4 unknown key,
+5 invalid input (mode/field mismatch, bad values, distributions or initial
+states, or a fluid step that does not converge), 6 a replication process died.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ EXIT_MISSING_FILE = 2
 EXIT_MALFORMED = 3
 EXIT_UNKNOWN_KEY = 4
 EXIT_MODE_MISMATCH = 5
+EXIT_WORKER_DIED = 6
 
 REQUIRED = object()  # a key the mode cannot run without
 OPTIONAL = object()  # a key with no default: its runner gives its absence a meaning
@@ -65,6 +68,10 @@ class ConfigError(Exception):
     def __init__(self, exit_code: int, message: str):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+class WorkerDied(RuntimeError):
+    """A replication process ended before it returned its result (killed, out of memory)."""
 
 
 def _number(value, what: str, least=None):
@@ -263,42 +270,89 @@ def _run_ode_check(cfg: dict, out: str) -> None:
     print(f"sup_diff = {result.sup_diff:.6e}")
 
 
-def _sim_configs(cfg: dict):
-    """One simulator config per n, each seeded from the fluid start state."""
+def _sim_tasks(cfg: dict) -> list:
+    """(n, simulator config, replication index) of every replication, n by n in index
+    order; each config seeded from the fluid start state."""
     arrival = cfg["arrival"] if "arrival" in cfg else Exponential(cfg["arrival_rate"])
+    tasks = []
     for n in cfg["n"]:
-        yield n, simulator.SimConfig(
+        sim_cfg = simulator.SimConfig(
             num_servers=n, interarrival=arrival.time_scaled(1.0 / n),
             patience=cfg["patience"], service=cfg["service"], horizon=cfg["horizon"],
             snapshot_times=cfg.get("snapshot_times", (cfg["horizon"],)),
             seed=cfg["seed"], replications=cfg["replications"], initial=cfg["initial"])
+        tasks += [(n, sim_cfg, i) for i in range(sim_cfg.replications)]
+    return tasks
+
+
+_WORK = None   # (fn, tasks) in a forked worker, inherited from its parent, never pickled
+
+
+def _adopt(fn, tasks: list) -> None:
+    global _WORK
+    _WORK = fn, tasks
+
+
+def _work(k: int):
+    fn, tasks = _WORK
+    return fn(*tasks[k])
+
+
+def _map(fn, tasks: list) -> list:
+    """[fn(*task) for task in tasks], in task order: in min(CPUs, tasks) forked processes
+    when both are two or more, in process otherwise and where the platform reports no CPU
+    affinity (macOS, Windows).  Workers inherit fn and tasks; only each task's index and
+    result are pickled."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(tasks))
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             _adopt, (fn, tasks)) as pool:
+        try:
+            return list(pool.map(_work, range(len(tasks))))
+        except BrokenProcessPool as exc:
+            raise WorkerDied("a replication process died before it returned its result; "
+                             "no output was written") from exc
+
+
+def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> list:
+    rows = []
+    for s in simulator.run(sim_cfg, i):
+        scaled = simulator.fluid_scale(s, n)
+        rows.append([s.time, s.queue_size, s.virtual_size, s.busy_servers,
+                     s.system_size, s.abandoned, s.completed,
+                     scaled.queue_size, scaled.virtual_size,
+                     scaled.busy_servers, scaled.system_size])
+    return rows
 
 
 def _run_simulate(cfg: dict, out: str) -> None:
-    for n, sim_cfg in _sim_configs(cfg):
-        for i in range(sim_cfg.replications):
-            rows = []
-            for s in simulator.run(sim_cfg, i):
-                scaled = simulator.fluid_scale(s, n)
-                rows.append([s.time, s.queue_size, s.virtual_size, s.busy_servers,
-                             s.system_size, s.abandoned, s.completed,
-                             scaled.queue_size, scaled.virtual_size,
-                             scaled.busy_servers, scaled.system_size])
-            _write_csv(out, f"sim_n{n}_rep{i:03d}.csv",
-                       ["t", "Q", "R", "Z", "X", "abandoned", "completed",
-                        "Q_scaled", "R_scaled", "Z_scaled", "X_scaled"], rows)
+    tasks = _sim_tasks(cfg)
+    for (n, _, i), rows in zip(tasks, _map(_simulate_rows, tasks)):
+        _write_csv(out, f"sim_n{n}_rep{i:03d}.csv",
+                   ["t", "Q", "R", "Z", "X", "abandoned", "completed",
+                    "Q_scaled", "R_scaled", "Z_scaled", "X_scaled"], rows)
 
 
 def _run_compare(cfg: dict, out: str) -> None:
+    tasks = _sim_tasks(cfg)
     sol = fluid.solve(_fluid_config(cfg), cfg["initial"])
     times = cfg["snapshot_times"]
     profiles = sol.profiles(times, cfg["probes"])
+
+    def replication_gaps(n, sim_cfg, i):   # forked workers inherit sol and profiles
+        return simulator.compare_to_fluid(
+            [simulator.fluid_scale(s, n) for s in simulator.run(sim_cfg, i)], sol, profiles)
+
+    results, reps = _map(replication_gaps, tasks), cfg["replications"]
     rows, summaries = [], []
-    for n, sim_cfg in _sim_configs(cfg):
-        gaps = np.array([   # (replication, gap, time)
-            simulator.compare_to_fluid([simulator.fluid_scale(s, n)
-                                        for s in simulator.run(sim_cfg, i)], sol, profiles)
-            for i in range(sim_cfg.replications)])
+    for j, n in enumerate(cfg["n"]):
+        gaps = np.array(results[j * reps:(j + 1) * reps])   # (replication, gap, time)
         buffer, server, queue, busy = gaps.transpose(1, 0, 2)
         means = [buffer.mean(axis=0), buffer.max(axis=0), server.mean(axis=0),
                  server.max(axis=0), queue.mean(axis=0), busy.mean(axis=0)]
@@ -354,6 +408,9 @@ def main(argv=None) -> int:
     except fluid.InvariantViolationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVARIANT
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
     except (ConfigError, ValueError, fluid.NoConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, ConfigError) else EXIT_MODE_MISMATCH

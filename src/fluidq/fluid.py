@@ -55,6 +55,11 @@ _SETTLED = 1e-13           # a window's sweeps stop once no base moves by more
 _ROOT = 4e-15              # a step's root is accepted at |g| <= _ROOT (1 + b + base)
 
 
+def grid_slack(t: float) -> float:
+    """The rounding slack of the grid rule at time t: 1e-12 max(1, |t|)."""
+    return 1e-12 * max(1.0, abs(t))
+
+
 @dataclass(frozen=True)
 class FluidConfig:
     """Scaled model parameters: one unit of fluid equals the server pool."""
@@ -82,7 +87,7 @@ class FluidConfig:
 
         Both hold up to 1e-12 max(1, |t|), so k dt, a running sum of dt and the last grid
         time, which rounding can put just past the horizon, all lie on the grid."""
-        tol = 1e-12 * max(1.0, abs(t))
+        tol = grid_slack(t)
         if not 0.0 <= t <= self.horizon + tol:
             raise FluidModelError(f"{what} {t!r} lies outside [0, horizon={self.horizon!r}]")
         k = int(round(t / self.dt))

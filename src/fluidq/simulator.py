@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .distributions import DistributionSpec, bisect_increasing
-from .fluid import FluidSolution, MeasureProfiles, ValidatedInitial
+from .fluid import FluidSolution, MeasureProfiles, ValidatedInitial, grid_slack
 from .measures import TailMeasure, sup_distance
 
 _BLOCK = 2048  # arrivals per block of uniforms
@@ -54,7 +54,7 @@ class SimConfig:
             raise ValueError("num_servers must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if any(t < 0.0 or t > self.horizon for t in self.snapshot_times):
+        if not all(0.0 <= t <= self.horizon + grid_slack(t) for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, horizon]")
         if list(self.snapshot_times) != sorted(self.snapshot_times):
             raise ValueError("snapshot times must be sorted")

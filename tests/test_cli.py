@@ -1,7 +1,9 @@
 import ast
+import concurrent.futures
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -312,6 +314,17 @@ def test_one_grid_rule_for_the_library_and_the_cli(case, route, tmp_path):
         assert check()
 
 
+@pytest.mark.parametrize("mode", ["simulate", "compare"])
+def test_a_snapshot_a_rounding_past_the_horizon_is_simulated(mode, tmp_path):
+    # 0.1 + 0.1 + 0.1 lies on the grid up to the horizon 0.3 by the one grid rule, so
+    # the simulator takes it too, in both modes
+    t = _running_sum(0.1, 3)
+    assert t > 0.3
+    doc = {**_SIM, "mode": mode, "n": [4], "horizon": 0.3, "dt": 0.1, "snapshot_times": [t]}
+    assert cli.main(["--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_LAWS))
 def test_a_bad_law_exits_5_before_the_output_directory_is_made(case, tmp_path, capsys):
     key, doc = _BAD_LAWS[case]
@@ -446,25 +459,109 @@ def _equilibrium_masses():
     {"r0": 0.4, "server_profile": {"kind": "equilibrium-shaped", "z": 1.0}},
 ], ids=["equilibrium", "kind-equilibrium", "r0-and-z"])
 def test_every_initial_form_seeds_the_simulator(mode, initial, tmp_path, monkeypatch):
-    runs = {}   # n -> its replications' snapshots, in index order
+    # each replication runs in a forked worker, so the recorder leaves one file per run
+    records = tmp_path / "runs"
+    records.mkdir()
     run = simulator.run
 
     def record(sim_cfg, replication_index=0):
         snaps = run(sim_cfg, replication_index)
-        runs.setdefault(sim_cfg.num_servers, []).append(snaps)
+        first = snaps[0]
+        (records / f"{sim_cfg.num_servers}-{replication_index}.json").write_text(
+            json.dumps([first.time, first.virtual_size, first.busy_servers]))
         return snaps
 
     monkeypatch.setattr(simulator, "run", record)
+    _cpus(monkeypatch, 2)
     path = _write_config(tmp_path, {**_SEEDED, "mode": mode, "initial": initial})
-    assert cli.main(["--config", path, "--out", str(tmp_path)]) == 0
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 0
     r0, z0 = (0.4, 1.0) if isinstance(initial, dict) and "r0" in initial else _equilibrium_masses()
-    assert list(runs) == _SEEDED["n"]
-    assert all(len(reps) == _SEEDED["replications"] for reps in runs.values())
-    for n, reps in runs.items():
-        for rep in reps:
-            assert rep[0].time == 0.0
-            assert rep[0].virtual_size == math.floor(n * r0) > 0
-            assert rep[0].busy_servers == math.floor(n * z0) == n
+    reps = range(_SEEDED["replications"])
+    assert sorted(p.name for p in records.iterdir()) == sorted(
+        f"{n}-{i}.json" for n in _SEEDED["n"] for i in reps)
+    for n in _SEEDED["n"]:
+        for i in reps:
+            time, virtual, busy = json.loads((records / f"{n}-{i}.json").read_text())
+            assert time == 0.0
+            assert virtual == math.floor(n * r0) > 0
+            assert busy == math.floor(n * z0) == n
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each process pool made, in order."""
+    sizes, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def spy(max_workers, *args, **kwargs):
+        sizes.append(max_workers)
+        return pool(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("mode", ["simulate", "compare"])
+def test_replications_write_the_same_bytes_in_process_and_forked(mode, tmp_path, monkeypatch,
+                                                                 pool_sizes):
+    path = _write_config(tmp_path, {**_SEEDED, "mode": mode, "initial": "equilibrium"})
+    outs = {}
+    for cpus in (1, 2, 8):   # 4 tasks: in process, 2 workers, 4 workers
+        _cpus(monkeypatch, cpus)
+        outs[cpus] = tmp_path / f"cpus{cpus}"
+        assert cli.main(["--config", path, "--out", str(outs[cpus])]) == cli.EXIT_OK
+        assert multiprocessing.active_children() == []
+    assert pool_sizes == [2, 4]
+    names = sorted(p.name for p in outs[1].iterdir())
+    assert len(names) == (4 if mode == "simulate" else 1)
+    for cpus in (2, 8):
+        assert sorted(p.name for p in outs[cpus].iterdir()) == names
+        for name in names:
+            assert (outs[cpus] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode,cpus,n,replications", [
+    ("simulate", 2, 4, 1), ("compare", 2, [4], 1), ("compare", 1, [4, 8], 2)],
+    ids=["simulate one task", "compare one task", "compare one cpu"])
+def test_one_task_or_one_cpu_starts_no_process(mode, cpus, n, replications, tmp_path,
+                                               monkeypatch, pool_sizes):
+    def fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _cpus(monkeypatch, cpus)
+    doc = {**_SIM, "mode": mode, "n": n, "replications": replications}
+    assert cli.main(["--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("mode", ["simulate", "compare"])
+@pytest.mark.parametrize("dies,code,line", [
+    (True, cli.EXIT_WORKER_DIED, "error: a replication process died before it returned "
+                                 "its result; no output was written"),
+    (False, cli.EXIT_MODE_MISMATCH, "error: bad replication")], ids=["dies", "raises"])
+def test_a_failed_replication_process_exits_with_its_code_and_one_line(
+        mode, dies, code, line, tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def run(*args, **kwargs):
+        assert os.getpid() != parent, "a replication ran in process"
+        if dies:
+            os._exit(1)
+        raise ValueError("bad replication")
+
+    monkeypatch.setattr(simulator, "run", run)   # forked workers inherit the patch
+    _cpus(monkeypatch, 2)
+    doc = {**_SIM, "mode": mode, "n": [4], "replications": 2}
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_equilibrium_string_and_dict_forms_give_identical_simulations(tmp_path):
