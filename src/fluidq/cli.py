@@ -62,6 +62,7 @@ _NUMERIC_KEYS = {"arrival_rate": None, "horizon": None, "dt": None,
                  "snapshot_times": None, "profile_times": None,
                  "n": 1, "replications": 1, "seed": 0, "sample_count": 0}
 _TIME_LISTS = {"snapshot_times", "profile_times"}
+_PROFILE_FILE = "profiles_t{:g}.csv"   # fluid-solve's profile at one of profile_times
 
 
 class ConfigError(Exception):
@@ -205,6 +206,13 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
                 except fluid.FluidModelError as exc:
                     raise ConfigError(EXIT_MODE_MISMATCH, str(exc)) from exc
         raw["initial"] = fluid.validate_initial(fc, _initial_condition(raw["initial"], fc))
+    files = {}   # profile file name -> the profile time that writes it
+    for t in raw.get("profile_times", ()):
+        name = _PROFILE_FILE.format(t)
+        if name in files:
+            raise ConfigError(EXIT_MODE_MISMATCH,
+                              f"profile_times entries {files[name]!r} and {t!r} both write {name}")
+        files[name] = t
     if "probes" in raw:
         raw["probes"] = _probes(raw["probes"], raw["horizon"])
     if "arrival" in raw and abs(raw["arrival"].mean * raw["arrival_rate"] - 1.0) > 1e-9:
@@ -219,17 +227,18 @@ def _create(out: str, name: str):
     return open(os.path.join(out, name), "w", encoding="utf-8", newline="")
 
 
-def _write_csv(out: str, name: str, header: list, rows) -> None:
-    """One line per row by one %-template: floats as %.17g, every other cell as str()."""
-    templates = {}   # cell types of a row -> its line template
+def _floats(cells: int) -> str:   # a line of cells floats, each %.17g: counts print as digits
+    return ",".join(["%.17g"] * cells) + "\n"
+
+
+def _write_csv(out: str, name: str, header: list, *tables) -> None:
+    """The header, then each (line, rows) table: rows a 2-D float array, formatted by the
+    %-template line of one row, 1024 rows to one % operation."""
     with _create(out, name) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in templates:
-                templates[kinds] = ",".join(
-                    "%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
-            fh.write(templates[kinds] % tuple(row))
+        for line, rows in tables:
+            for block in np.split(rows, range(1024, len(rows), 1024)):
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(out: str, name: str, doc: dict) -> None:
@@ -244,13 +253,13 @@ def _write_json(out: str, name: str, doc: dict) -> None:
 def _run_fluid_solve(cfg: dict, out: str) -> None:
     sol = fluid.solve(_fluid_config(cfg), cfg["initial"])
     _write_csv(out, "trajectory.csv", ["t", "X", "Q", "Z", "R", "B"],
-               np.column_stack((sol.times, sol.system, sol.queue, sol.busy, sol.virtual,
-                                sol.scheduled)).tolist())
+               (_floats(6), np.column_stack((sol.times, sol.system, sol.queue, sol.busy,
+                                             sol.virtual, sol.scheduled))))
     probes, times = cfg["probes"], cfg["profile_times"]
     for t, profiles in zip(times, sol.profiles(times, probes)):
-        _write_csv(out, f"profiles_t{t:g}.csv", ["x", "buffer_tail", "server_tail"],
-                   np.column_stack((probes, profiles.buffer.tail_at(probes),
-                                    profiles.server.tail_at(probes))).tolist())
+        _write_csv(out, _PROFILE_FILE.format(t), ["x", "buffer_tail", "server_tail"],
+                   (_floats(3), np.column_stack((probes, profiles.buffer.tail_at(probes),
+                                                 profiles.server.tail_at(probes)))))
 
 
 def _run_equilibrium(cfg: dict, out: str) -> None:
@@ -265,8 +274,8 @@ def _run_ode_check(cfg: dict, out: str) -> None:
         x0=cfg["x0"], horizon=cfg["horizon"], dt=cfg["dt"],
     ))
     _write_csv(out, "ode_check.csv", ["t", "X_ode", "X_fluid", "diff"],
-               np.column_stack((result.times, result.ode, result.fluid,
-                                np.abs(result.fluid - result.ode))).tolist())
+               (_floats(4), np.column_stack((result.times, result.ode, result.fluid,
+                                             np.abs(result.fluid - result.ode)))))
     print(f"sup_diff = {result.sup_diff:.6e}")
 
 
@@ -320,7 +329,7 @@ def _map(fn, tasks: list) -> list:
                              "no output was written") from exc
 
 
-def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> list:
+def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> np.ndarray:
     rows = []
     for s in simulator.run(sim_cfg, i):
         scaled = simulator.fluid_scale(s, n)
@@ -328,7 +337,7 @@ def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> list:
                      s.system_size, s.abandoned, s.completed,
                      scaled.queue_size, scaled.virtual_size,
                      scaled.busy_servers, scaled.system_size])
-    return rows
+    return np.array(rows, dtype=float)
 
 
 def _run_simulate(cfg: dict, out: str) -> None:
@@ -336,7 +345,7 @@ def _run_simulate(cfg: dict, out: str) -> None:
     for (n, _, i), rows in zip(tasks, _map(_simulate_rows, tasks)):
         _write_csv(out, f"sim_n{n}_rep{i:03d}.csv",
                    ["t", "Q", "R", "Z", "X", "abandoned", "completed",
-                    "Q_scaled", "R_scaled", "Z_scaled", "X_scaled"], rows)
+                    "Q_scaled", "R_scaled", "Z_scaled", "X_scaled"], (_floats(11), rows))
 
 
 def _run_compare(cfg: dict, out: str) -> None:
@@ -356,13 +365,14 @@ def _run_compare(cfg: dict, out: str) -> None:
         buffer, server, queue, busy = gaps.transpose(1, 0, 2)
         means = [buffer.mean(axis=0), buffer.max(axis=0), server.mean(axis=0),
                  server.max(axis=0), queue.mean(axis=0), busy.mean(axis=0)]
-        rows += [[n, t, *cells] for t, *cells in zip(times, *means)]
-        summaries.append([n, "all", float(np.mean(means[0])), float(np.max(means[1])),
-                          float(np.mean(means[2])), float(np.max(means[3])),
-                          float(np.mean(queue.max(axis=1))), float(np.mean(busy[:, -1]))])
+        rows.append(np.column_stack((np.full(len(times), n), times, *means)))
+        summaries.append([n, np.mean(means[0]), np.max(means[1]), np.mean(means[2]),
+                          np.max(means[3]), np.mean(queue.max(axis=1)), np.mean(busy[:, -1])])
     _write_csv(out, "compare_report.csv",
                ["n", "t", "mean_dist_buffer", "max_dist_buffer", "mean_dist_server",
-                "max_dist_server", "mean_absQ", "mean_absZ"], rows + summaries)
+                "max_dist_server", "mean_absQ", "mean_absZ"],
+               (_floats(8), np.concatenate(rows)),
+               ("%.17g,all," + _floats(6), np.array(summaries, dtype=float)))
 
 
 def _run_gc_check(cfg: dict, out: str) -> None:

@@ -111,3 +111,37 @@ def test_equilibrium_feeds_back_into_fluid_solver():
     cfg = FluidConfig(arrival_rate=lam, patience=patience, service=service, horizon=10.0, dt=1e-3)
     sol = solve(cfg, state.initial_condition())
     assert float(np.max(np.abs(sol.system - sol.system[0]))) <= 1e-3
+
+
+_LAWS = {"exponential": Exponential(1.0), "lognormal": LogNormal.from_mean_cv(1.0, 1.0),
+         "hyperexponential": HyperExponential((0.4, 0.6), (0.5, 2.0)),
+         "uniform(0, 2)": Uniform(0.0, 2.0), "uniform(0.5, 1.5)": Uniform(0.5, 1.5)}
+_SMOOTH = ("exponential", "lognormal", "hyperexponential")
+# (arrival rate, patience, service): every pair of smooth laws, over- and underloaded, and
+# patience of bounded support, each with a service tail that decays fast and one that does not
+_MARCHES = ([(lam, p, s) for lam in (1.5, 0.8) for p in _SMOOTH for s in _SMOOTH]
+            + [(lam, p, s) for lam, p in ((1.5, "uniform(0, 2)"), (2.0, "uniform(0, 2)"),
+                                          (1.5, "uniform(0.5, 1.5)"))
+               for s in ("exponential", "lognormal")])
+
+
+@pytest.mark.parametrize("lam, patience, service", _MARCHES)
+def test_the_march_from_empty_reaches_the_equilibrium_state(lam, patience, service):
+    # the fluid model from empty converges to its equilibrium (Whitt, Fluid models for
+    # multiserver queues with abandonments, 2006; Kang & Ramanan, AAP 2010), and the
+    # discrete march's fixed point is the exact one: the gaps below do not depend on dt
+    patience, service_law = _LAWS[patience], _LAWS[service]
+    sol = solve(FluidConfig(arrival_rate=lam, patience=patience, service=service_law,
+                            horizon=200.0, dt=1e-2))
+    state = equilibrium_state(lam, patience, service_law)
+
+    def gaps(k):
+        return abs(sol.system[k] - state.system_mass), abs(sol.virtual[k] - state.virtual_mass)
+
+    (x_half, r_half), (x_end, r_end) = gaps(len(sol.times) // 2), gaps(-1)
+    if service == "lognormal":
+        # its tail decays slowly: 1.3-2.7e-8 at H/2, 1.0-3.2e-10 at H
+        assert x_end < x_half and r_end <= r_half
+        assert max(x_end, r_end) <= 1e-9
+    else:   # 0 to 1.7e-14
+        assert max(x_end, r_end) <= 1e-13
