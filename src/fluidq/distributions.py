@@ -13,6 +13,10 @@ Conventions:
   * the kernels return what numpy returns: an array shaped like the input, or
     for a scalar input a numpy scalar or 0-d array with no conversion to a
     Python float, so array callers need no wrap and scalar callers call float();
+  * sf takes an optional out array, numpy's own convention: given one shaped like
+    x, it writes the result there and returns it, and out may be x itself, so a
+    caller that reuses one block pays for no fresh pages; without out it returns
+    a fresh array, a 0-d one for a scalar x;
   * scipy.special, the source of LogNormal's ndtr and ndtri, is imported where
     a LogNormal is built, in its __post_init__: every other family runs on
     numpy alone, and a program that builds no lognormal law never loads scipy.
@@ -68,9 +72,9 @@ class DistributionSpec:
         """P(lifetime <= x); 0 for x < 0, nondecreasing."""
         raise NotImplementedError
 
-    def sf(self, x):
-        """Complement 1 - cdf(x)."""
-        return 1.0 - self.cdf(x)
+    def sf(self, x, out=None):
+        """Complement 1 - cdf(x), written into out when one is given."""
+        return np.subtract(1.0, self.cdf(x), out=out)
 
     def pdf(self, x):
         """Density where one exists."""
@@ -156,8 +160,10 @@ class Exponential(DistributionSpec):
     def cdf(self, x):
         return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
-    def sf(self, x):
-        return np.exp(-self.rate * np.maximum(x, 0.0))
+    def sf(self, x, out=None):
+        out = np.maximum(x, 0.0, out=np.empty(np.shape(x)) if out is None else out)
+        out *= -self.rate
+        return np.exp(out, out=out)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -281,9 +287,9 @@ class LogNormal(DistributionSpec):
         sigma2 = math.log(1.0 + cv * cv)
         return cls(mu=math.log(mean) - 0.5 * sigma2, sigma=math.sqrt(sigma2))
 
-    def _z(self, x):
-        """(log x - mu) / sigma in one fresh array; x <= 0 reads as 0, whose log is -inf."""
-        z = np.maximum(x, 0.0, out=np.empty(np.shape(x)))
+    def _z(self, x, out=None):
+        """(log x - mu) / sigma in out, or one fresh array; x <= 0 reads as 0, whose log is -inf."""
+        z = np.maximum(x, 0.0, out=np.empty(np.shape(x)) if out is None else out)
         with np.errstate(divide="ignore"):
             np.log(z, out=z)
         z -= self.mu
@@ -294,8 +300,8 @@ class LogNormal(DistributionSpec):
         z = self._z(x)
         return ndtr(z, out=z)
 
-    def sf(self, x):
-        z = self._z(x)
+    def sf(self, x, out=None):
+        z = self._z(x, out)
         return ndtr(np.negative(z, out=z), out=z)
 
     def pdf(self, x):

@@ -49,7 +49,7 @@ class InvariantViolationError(RuntimeError):
 
 
 _INNER_CAP = 50
-_PROFILE_CELLS = 1 << 20   # cells of one service.sf block in FluidSolution.profiles
+_PROFILE_CELLS = 1 << 18   # cells of the one service.sf block in FluidSolution.profiles
 _WINDOW = 128              # fluid steps solve takes together in one window of sweeps
 _SETTLED = 1e-13           # a window's sweeps stop once no base moves by more
 _ROOT = 4e-15              # a step's root is accepted at |g| <= _ROOT (1 + b + base)
@@ -304,6 +304,10 @@ class FluidSolution:
         with coeff_0 .. coeff_{k-1}.  The table is built only for probes > 0
         (a probe <= 0 reads the total busy mass) and in row blocks of about
         _PROFILE_CELLS cells, so the memory does not grow with the horizon.
+        One block is allocated per call and every block is built in it in
+        place, by service.sf(table, out=table): a fresh block each time would
+        fault in fresh pages each time.  At 2**18 cells (2 MiB) it also stays
+        below the 4 MiB above which numpy asks the kernel for huge pages.
         A block's row count is a multiple of 8 (at least 8): the BLAS
         matrix-vector kernel sums rows in groups, and other row counts move
         the last bit of some tails.
@@ -319,11 +323,12 @@ class FluidSolution:
         lags = (np.arange(kmax - 1, -1, -1) + 0.5) * cfg.dt
         started = np.zeros((len(ks), positive.size))
         rows = max(8, _PROFILE_CELLS // max(kmax, 1) // 8 * 8)
+        block = np.empty((min(rows, positive.size), kmax))
         for i in range(0, positive.size if kmax else 0, rows):
-            table = cfg.service.sf(positive[i : i + rows, None] + lags)
+            table = block[: positive.size - i]
+            cfg.service.sf(np.add(positive[i : i + rows, None], lags, out=table), out=table)
             for c, k in enumerate(ks):
                 started[c, i : i + rows] = table[:, kmax - k :] @ coeff[:k]
-            del table  # freed before the next block is built
         sf_lags = cfg.service.sf(lags)
         out = []
         for t, k, sums in zip(times, ks, started):

@@ -9,6 +9,7 @@ mass at or below 0 is zero, so their tail at x <= 0 equals the total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,17 @@ def sup_distance(m1: TailMeasure, m2: TailMeasure, probes) -> float:
 
 
 def uniform_probes(lo: float, hi: float, count: int = 512) -> np.ndarray:
+    """count evenly spaced probes from lo to hi, checked finite and strictly increasing.
+
+    The span is checked before linspace runs, which would warn on one beyond the float
+    range and fill the grid with nan and inf."""
     if not (hi > lo and count >= 2):
         raise ValueError("probe grid needs hi > lo and count >= 2")
-    return np.linspace(lo, hi, count)
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"probe grid from {lo!r} to {hi!r} spans more than the float range")
+    grid = np.linspace(lo, hi, count)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"probe grid of {count} points from {lo!r} to {hi!r} "
+                         "is not strictly increasing")
+    return grid
 

@@ -226,6 +226,12 @@ EXIT_CASES = {
                                         "profile_times": [1000000, 1000001]},
                                        cli.EXIT_MODE_MISMATCH),
     "profile time given twice": ({**_SOLVE, "profile_times": [0.5, 0.5]}, cli.EXIT_MODE_MISMATCH),
+    "probe grid beyond the float range": ({**_SOLVE, "probes": {"lo": -1e308, "hi": 1e308,
+                                                                "count": 3}},
+                                          cli.EXIT_MODE_MISMATCH),
+    "probe grid below the float resolution": ({**_SOLVE, "probes": {"lo": 0, "hi": 5e-324,
+                                                                    "count": 4}},
+                                              cli.EXIT_MODE_MISMATCH),
 }
 
 # the exact stderr line of some cases
@@ -242,6 +248,10 @@ EXIT_MESSAGES = {
     "profile times that print alike": (
         "error: profile_times entries 1000000.0 and 1000001.0 both write profiles_t1e+06.csv"),
     "profile time given twice": "error: profile_times entries 0.5 and 0.5 both write profiles_t0.5.csv",
+    "probe grid beyond the float range": (
+        "error: probe grid from -1e+308 to 1e+308 spans more than the float range"),
+    "probe grid below the float resolution": (
+        "error: probe grid of 4 points from 0.0 to 5e-324 is not strictly increasing"),
 }
 
 # cases that must exit before the work they would waste: the functions never called
@@ -253,6 +263,8 @@ _NOT_REACHED = {
     "ode-check horizon off the dt grid": [(expode, "integrate")],
     "profile times that print alike": [(fluid, "solve")],
     "profile time given twice": [(fluid, "solve")],
+    "probe grid beyond the float range": [(fluid, "solve")],
+    "probe grid below the float resolution": [(fluid, "solve")],
 }
 
 

@@ -116,6 +116,32 @@ def test_unmasked_kernels_equal_the_masked_formulas_bit_for_bit(dist, method):
     assert math.isnan(kernel(math.nan))  # the masks read nan as <= 0; it now stays nan
 
 
+_SF_EDGES = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 700.0, 1e308, math.inf,
+             math.nan]
+
+
+@pytest.mark.parametrize("dist", [Exponential(1.7), LogNormal(-3.0, 2.5), Uniform(0.5, 2.5),
+                                  Deterministic(2.0), HyperExponential((0.4, 0.6), (0.5, 2.0))],
+                         ids=repr)
+def test_sf_into_out_equals_sf_bit_for_bit(dist):
+    x = np.array(_SF_EDGES)
+    # rate 2 times 1e308 overflows to -inf, whose exp is the right 0, but numpy warns on
+    # it with or without out: that warning is not what this test is about
+    with np.errstate(over="ignore"):
+        for shaped in (x, x.reshape(1, -1), np.column_stack((x, x[::-1]))):
+            expected = np.asarray(dist.sf(shaped)).tobytes()
+            buf = np.empty(shaped.shape)
+            assert dist.sf(shaped, out=buf) is buf
+            assert buf.tobytes() == expected
+            inplace = shaped.copy()   # out may be x itself, as FluidSolution.profiles passes it
+            assert dist.sf(inplace, out=inplace) is inplace
+            assert inplace.tobytes() == expected
+        for edge, from_array in zip(_SF_EDGES, dist.sf(x)):
+            got = dist.sf(edge)   # a scalar still gives a numpy scalar or a 0-d array
+            assert isinstance(got, np.generic) or (isinstance(got, np.ndarray) and got.ndim == 0)
+            assert np.asarray(got).tobytes() == from_array.tobytes()
+
+
 # the mixture kernels as written with np.multiply.outer and np.sum(axis=-1), kept as oracles
 
 def _outer_cdf(d, x):

@@ -454,17 +454,21 @@ def _record_sf_matrices(monkeypatch, law):
     """Shapes of the 2-d arrays passed to law.sf from now on."""
     shapes, sf = [], law.sf
 
-    def recording_sf(self, x):
+    def recording_sf(self, x, out=None):
         if np.ndim(x) == 2:
             shapes.append(np.shape(x))
-        return sf(self, x)
+        return sf(self, x, out=out)
 
     monkeypatch.setattr(law, "sf", recording_sf)
     return shapes
 
 
-def test_measures_at_memory_does_not_grow_with_the_horizon():
-    sol = solve(_cfg(1.5, Exponential(1.0), Exponential(1.0), horizon=30.0))
+@pytest.mark.parametrize("service", [Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0)],
+                         ids=["exp", "lognormal"])
+def test_measures_at_memory_does_not_grow_with_the_horizon(service):
+    # one reused 2 MiB block of service.sf plus a few vectors of the 30,000 lags: 2.8 MB
+    # at H=30; a fresh block and its temporaries for each row block take 15-23 MB
+    sol = solve(_cfg(1.5, Exponential(1.0), service, horizon=30.0))
     probes = np.linspace(-30.0, 30.0, 512)
     for build in (lambda: sol.measures_at(30.0, probes),
                   lambda: sol.profiles([15.0, 30.0], probes)):
@@ -474,7 +478,7 @@ def test_measures_at_memory_does_not_grow_with_the_horizon():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2**20, f"{peak / 2**20:.1f} MB"
+        assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def test_measures_at_row_blocks_match_one_matrix(monkeypatch):
