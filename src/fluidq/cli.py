@@ -6,7 +6,9 @@ it gives each key its default, or marks it required.  parse_config is the one
 check phase: it returns every input built and typed, so the mode runners only
 compute and write, and out is made with the first file.  simulate and compare
 run their replications in forked processes, one per CPU this process may use,
-and write the same bytes as in process.  Exit codes: 0 success, 1 solver
+and write the same bytes as in process.  compare starts them before its fluid
+solve: a worker returns its replication read on the probe grid, and the parent,
+once it has solved, takes the gaps.  Exit codes: 0 success, 1 solver
 invariant violation, 2 missing config file, 3 malformed JSON, 4 unknown key,
 5 invalid input (mode/field mismatch, bad values, distributions or initial
 states, or a fluid step that does not converge), 6 a replication process died.
@@ -15,6 +17,7 @@ states, or a fluid step that does not converge), 6 a replication process died.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -149,9 +152,13 @@ def _probes(spec, horizon: float) -> np.ndarray:
     if not (isinstance(spec, dict) and set(spec) <= {"lo", "hi", "count"}):
         raise ConfigError(EXIT_MODE_MISMATCH,
                           f"probes must be an object with keys lo, hi and count, got {spec!r}")
-    return uniform_probes(_number(spec.get("lo", -horizon), "probes lo"),
-                          _number(spec.get("hi", horizon), "probes hi"),
-                          _number(spec.get("count", 512), "probes count", least=2))
+    count = _number(spec.get("count", 512), "probes count", least=2)
+    try:
+        return uniform_probes(_number(spec.get("lo", -horizon), "probes lo"),
+                              _number(spec.get("hi", horizon), "probes hi"), count)
+    except MemoryError as exc:
+        raise ConfigError(EXIT_MODE_MISMATCH,
+                          f"probe grid of {count} points does not fit in memory") from exc
 
 
 def parse_config(path: str, overrides: dict | None = None) -> dict:
@@ -197,6 +204,12 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
         raise ConfigError(EXIT_MODE_MISMATCH, f"out must be a directory name, got {raw['out']!r}")
     raw.update(_numbers(raw, keys))
     _build_laws(raw)
+    if mode in ("fluid-solve", "compare"):   # the modes that solve the fluid model
+        try:
+            raw["service"].validate_as_service()
+            raw["patience"].validate_as_patience()
+        except DistributionError as exc:
+            raise ConfigError(EXIT_MODE_MISMATCH, str(exc)) from exc
     if "initial" in raw:   # fluid-solve, simulate and compare start the fluid model
         fc = _fluid_config(raw)
         for key in _TIME_LISTS & raw.keys():
@@ -307,26 +320,31 @@ def _work(k: int):
     return fn(*tasks[k])
 
 
-def _map(fn, tasks: list) -> list:
-    """[fn(*task) for task in tasks], in task order: in min(CPUs, tasks) forked processes
-    when both are two or more, in process otherwise and where the platform reports no CPU
-    affinity (macOS, Windows).  Workers inherit fn and tasks; only each task's index and
-    result are pickled."""
+@contextlib.contextmanager
+def _map(fn, tasks: list):
+    """Yields fn(*task) for each task, in task order, as an iterator: from min(CPUs, tasks)
+    forked processes, started on entry, when both are two or more; in process as it is read
+    otherwise, and where the platform reports no CPU affinity (macOS, Windows).  Workers
+    inherit fn and tasks; only each task's index and result are pickled.  The caller works
+    while they run and reads the results within the block; an error there cancels the tasks
+    not yet started, and leaving the block waits for the running ones."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))
     if workers < 2:
-        return [fn(*task) for task in tasks]
+        yield (fn(*task) for task in tasks)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             _adopt, (fn, tasks)) as pool:
-        try:
-            return list(pool.map(_work, range(len(tasks))))
-        except BrokenProcessPool as exc:
-            raise WorkerDied("a replication process died before it returned its result; "
-                             "no output was written") from exc
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (fn, tasks))
+    try:
+        yield pool.map(_work, range(len(tasks)))
+    except BrokenProcessPool as exc:
+        raise WorkerDied("a replication process died before it returned its result; "
+                         "no output was written") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> np.ndarray:
@@ -342,23 +360,26 @@ def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> np.ndarray:
 
 def _run_simulate(cfg: dict, out: str) -> None:
     tasks = _sim_tasks(cfg)
-    for (n, _, i), rows in zip(tasks, _map(_simulate_rows, tasks)):
+    with _map(_simulate_rows, tasks) as results:
+        results = list(results)   # every replication, before the first file
+    for (n, _, i), rows in zip(tasks, results):
         _write_csv(out, f"sim_n{n}_rep{i:03d}.csv",
                    ["t", "Q", "R", "Z", "X", "abandoned", "completed",
                     "Q_scaled", "R_scaled", "Z_scaled", "X_scaled"], (_floats(11), rows))
 
 
 def _run_compare(cfg: dict, out: str) -> None:
-    tasks = _sim_tasks(cfg)
-    sol = fluid.solve(_fluid_config(cfg), cfg["initial"])
-    times = cfg["snapshot_times"]
-    profiles = sol.profiles(times, cfg["probes"])
+    tasks, times, probes = _sim_tasks(cfg), cfg["snapshot_times"], cfg["probes"]
 
-    def replication_gaps(n, sim_cfg, i):   # forked workers inherit sol and profiles
-        return simulator.compare_to_fluid(
-            [simulator.fluid_scale(s, n) for s in simulator.run(sim_cfg, i)], sol, profiles)
+    def replication_on_probes(n, sim_cfg, i):   # needs no fluid value, so starts first
+        return simulator.read_on_probes(
+            [simulator.fluid_scale(s, n) for s in simulator.run(sim_cfg, i)], probes)
 
-    results, reps = _map(replication_gaps, tasks), cfg["replications"]
+    with _map(replication_on_probes, tasks) as readings:
+        sol = fluid.solve(_fluid_config(cfg), cfg["initial"])
+        profiles = sol.profiles(times, probes)
+        results = [simulator.gaps_to_fluid(r, sol, profiles) for r in readings]
+    reps = cfg["replications"]
     rows, summaries = [], []
     for j, n in enumerate(cfg["n"]):
         gaps = np.array(results[j * reps:(j + 1) * reps])   # (replication, gap, time)

@@ -30,6 +30,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
+# exp(-y) underflows to 0 and expm1(-y) rounds to -1 for every y past 746 in double
+# precision, so the exponential kernels clip x at 746 / rate before they multiply: rate * x
+# cannot overflow, and no value moves
+_EXP_CAP = 746.0
+
+
 class DistributionError(ValueError):
     """Invalid distribution parameters or an unsupported role."""
 
@@ -157,25 +163,28 @@ class Exponential(DistributionSpec):
         if not self.rate > 0.0:
             raise DistributionError("exponential rate must be positive")
 
+    def _clipped(self, x):   # max(x, 0), which is +0.0 for -0.0, capped
+        return np.maximum(np.minimum(x, _EXP_CAP / self.rate), 0.0)
+
     def cdf(self, x):
-        return -np.expm1(-self.rate * np.maximum(x, 0.0))
+        return -np.expm1(-self.rate * self._clipped(x))
 
     def sf(self, x, out=None):
-        out = np.maximum(x, 0.0, out=np.empty(np.shape(x)) if out is None else out)
+        out = np.empty(np.shape(x)) if out is None else out
+        np.asarray(x).clip(0.0, _EXP_CAP / self.rate, out=out)   # one pass; exp(-0.0) is 1 too
         out *= -self.rate
         return np.exp(out, out=out)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
+        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * self._clipped(x)), 0.0)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return -np.log1p(-u) / self.rate
 
     def integrated_sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return -np.expm1(-self.rate * np.maximum(x, 0.0)) / self.rate
+        return -np.expm1(-self.rate * self._clipped(x)) / self.rate
 
     @property
     def mean(self) -> float:
@@ -336,7 +345,8 @@ class LogNormal(DistributionSpec):
 class HyperExponential(DistributionSpec):
     """A mixture of exponential phases.  cdf, pdf and integrated_sf add the phases in one
     builtin sum, left to right from 0 as numpy sums a short axis, so integrated_sf keeps
-    its -0.0 at x <= 0."""
+    its -0.0 at x <= 0.  They clip x once, at the slowest phase's cap: no phase's r x
+    overflows while the rates lie within a factor 1e305 of each other."""
 
     weights: tuple
     rates: tuple
@@ -354,15 +364,18 @@ class HyperExponential(DistributionSpec):
         if abs(sum(w) - 1.0) > 1e-9:
             raise DistributionError("hyperexponential weights must sum to 1")
 
+    def _clipped(self, x):   # one pass; each sum below takes -0.0 as it does 0.0
+        return np.asarray(x, dtype=float).clip(0.0, _EXP_CAP / min(self.rates))
+
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        xp = np.maximum(x, 0.0)
+        xp = self._clipped(x)
         out = -sum(w * np.expm1(-r * xp) for w, r in zip(self.weights, self.rates))
         return np.where(x > 0.0, out, 0.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        xp = np.maximum(x, 0.0)
+        xp = self._clipped(x)
         out = sum(w * r * np.exp(-r * xp) for w, r in zip(self.weights, self.rates))
         return np.where(x >= 0.0, out, 0.0)
 
@@ -373,7 +386,7 @@ class HyperExponential(DistributionSpec):
         return bisect_increasing(self.cdf, u, np.zeros_like(u), -np.log1p(-u) / min(self.rates))
 
     def integrated_sf(self, x):
-        xp = np.maximum(x, 0.0)
+        xp = self._clipped(x)
         return -sum(w / r * np.expm1(-r * xp) for w, r in zip(self.weights, self.rates))
 
     @property

@@ -82,8 +82,13 @@ def sup_distance(m1: TailMeasure, m2: TailMeasure, probes) -> float:
     probes = np.asarray(probes, dtype=float)
     if probes.size == 0:
         raise ValueError("probes must be nonempty")
-    gap = np.max(np.abs(m1.tail_at(probes) - m2.tail_at(probes)))
-    return float(max(gap, abs(m1.total - m2.total)))
+    return float(tail_gap(m1.tail_at(probes), m1.total, m2.tail_at(probes), m2.total))
+
+
+def tail_gap(tails1, total1, tails2, total2):
+    """sup_distance from tails already read at the same probes, along the last axis:
+    max(max |tails1 - tails2|, |total1 - total2|)."""
+    return np.maximum(np.max(np.abs(tails1 - tails2), axis=-1), np.abs(total1 - total2))
 
 
 def uniform_probes(lo: float, hi: float, count: int = 512) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .distributions import DistributionSpec, bisect_increasing
 from .fluid import FluidSolution, MeasureProfiles, ValidatedInitial, grid_slack
-from .measures import TailMeasure, sup_distance
+# sup_distance: unused here, but perfbench/tracing.py wraps simulator.sup_distance by name
+from .measures import TailMeasure, sup_distance, tail_gap
 
 _BLOCK = 2048  # arrivals per block of uniforms
 
@@ -205,6 +206,48 @@ def fluid_scale(snap: SystemSnapshot, n: int) -> SystemSnapshot:
                             for name, v in values.items()})
 
 
+@dataclass(frozen=True)
+class ProbeReadings:
+    """One replication's fluid-scaled snapshots read on a probe grid: all that its gaps to
+    the fluid solution need of it, and nothing of that solution.  Axis 0 is the buffer
+    (row 0) and the servers (row 1); the next axis is the snapshot."""
+
+    times: tuple
+    tails: np.ndarray    # (2, snapshots, probes): each measure's tail_at(probes)
+    totals: np.ndarray   # (2, snapshots): each measure's total
+    sizes: np.ndarray    # (2, snapshots): Q and Z
+
+
+def read_on_probes(snaps: list[SystemSnapshot], probes) -> ProbeReadings:
+    """The fluid-free half of compare_to_fluid: each fluid-scaled snapshot's buffer and
+    server tails at the probes, their totals, Q and Z."""
+    tails = np.empty((2, len(snaps), np.size(probes)))
+    totals, sizes = np.empty((2, 2, len(snaps)))
+    for j, snap in enumerate(snaps):
+        for m, measure in enumerate((snap.buffer_measure, snap.server_measure)):
+            tails[m, j] = measure.tail_at(probes)
+            totals[m, j] = measure.total
+        sizes[:, j] = snap.queue_size, snap.busy_servers
+    return ProbeReadings(tuple(snap.time for snap in snaps), tails, totals, sizes)
+
+
+def gaps_to_fluid(readings: ProbeReadings, sol: FluidSolution,
+                  profiles: list[MeasureProfiles]) -> np.ndarray:
+    """The other half: one column per snapshot, the buffer and server sup distances to
+    the profiles, read on the probe grid the profiles were built on, |Q - q| and |Z - z|.
+
+    Snapshot times must lie on the fluid grid; a mismatch raises."""
+    if not readings.times or len(profiles) != len(readings.times):
+        raise ValueError("one fluid profile per snapshot time (at least one) is required")
+    k = [sol.grid_index(t) for t in readings.times]
+    fluid = [[p.buffer for p in profiles], [p.server for p in profiles]]
+    return np.concatenate((
+        tail_gap(readings.tails, readings.totals,
+                 np.array([[m.tail_at(m.grid) for m in row] for row in fluid]),
+                 np.array([[m.total for m in row] for row in fluid])),
+        np.abs(readings.sizes - np.array([sol.queue[k], sol.busy[k]]))))
+
+
 def compare_to_fluid(snaps: list[SystemSnapshot], sol: FluidSolution,
                      profiles: list[MeasureProfiles]) -> np.ndarray:
     """One replication's gaps to the fluid solution, one column per snapshot: the buffer
@@ -212,18 +255,11 @@ def compare_to_fluid(snaps: list[SystemSnapshot], sol: FluidSolution,
 
     snaps are fluid-scaled; profiles is sol.profiles(times, probes) at their times, in
     order, and depends on neither n nor the replication, so callers build it once.
-    Snapshot times must lie on the fluid grid; a mismatch raises.
+    Snapshot times must lie on the fluid grid; a mismatch raises.  The two halves,
+    read_on_probes and gaps_to_fluid, may run apart: the first needs no fluid value.
     """
-    if not snaps or len(profiles) != len(snaps):
-        raise ValueError("one fluid profile per snapshot time (at least one) is required")
-    gaps = np.empty((4, len(snaps)))
-    for j, (snap, fluid) in enumerate(zip(snaps, profiles)):
-        k = sol.grid_index(snap.time)
-        probes = fluid.buffer.grid
-        gaps[:, j] = (sup_distance(snap.buffer_measure, fluid.buffer, probes),
-                      sup_distance(snap.server_measure, fluid.server, probes),
-                      abs(snap.queue_size - sol.queue[k]), abs(snap.busy_servers - sol.busy[k]))
-    return gaps
+    probes = profiles[0].buffer.grid if profiles else ()
+    return gaps_to_fluid(read_on_probes(snaps, probes), sol, profiles)
 
 
 def gc_diagnostic(dist: DistributionSpec, sample_count: int, seed: int) -> float:

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,11 @@ EXIT_CASES = {
     "probe grid below the float resolution": ({**_SOLVE, "probes": {"lo": 0, "hi": 5e-324,
                                                                     "count": 4}},
                                               cli.EXIT_MODE_MISMATCH),
+    "probe grid beyond memory": ({**_SOLVE, "probes": {"count": 10 ** 15}},
+                                 cli.EXIT_MODE_MISMATCH),
+    "patience without density in compare": (
+        {**_SIM, "mode": "compare", "n": [4, 4], "replications": 2,
+         "patience": {"family": "deterministic", "value": 1.0}}, cli.EXIT_MODE_MISMATCH),
 }
 
 # the exact stderr line of some cases
@@ -252,6 +258,10 @@ EXIT_MESSAGES = {
         "error: probe grid from -1e+308 to 1e+308 spans more than the float range"),
     "probe grid below the float resolution": (
         "error: probe grid of 4 points from 0.0 to 5e-324 is not strictly increasing"),
+    "probe grid beyond memory": (
+        "error: probe grid of 1000000000000000 points does not fit in memory"),
+    "patience without density in compare": (
+        "error: invalid patience distribution: CDF is neither Lipschitz nor of bounded hazard"),
 }
 
 # cases that must exit before the work they would waste: the functions never called
@@ -265,6 +275,7 @@ _NOT_REACHED = {
     "profile time given twice": [(fluid, "solve")],
     "probe grid beyond the float range": [(fluid, "solve")],
     "probe grid below the float resolution": [(fluid, "solve")],
+    "patience without density in compare": [(fluid, "solve"), (simulator, "run")],
 }
 
 
@@ -583,6 +594,67 @@ def test_a_failed_replication_process_exits_with_its_code_and_one_line(
     assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
     assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def _recorded_slow_runs(monkeypatch, records):
+    """simulator.run, patched to leave one file per replication it starts and to take 0.2 s
+    more, so that a replication is still running when the parent's solve ends."""
+    run = simulator.run
+
+    def slow(sim_cfg, replication_index=0):
+        (records / f"{sim_cfg.num_servers}-{replication_index}").touch()
+        time.sleep(0.2)
+        return run(sim_cfg, replication_index)
+
+    monkeypatch.setattr(simulator, "run", slow)   # forked workers inherit the patch
+
+
+@pytest.mark.parametrize("error,code", [
+    (fluid.InvariantViolationError("invariant-violated: Q > 0 with Z < 1 at t=0.5"),
+     cli.EXIT_INVARIANT),
+    (fluid.NoConvergenceError("no-convergence: inner Newton iteration exceeded its cap"),
+     cli.EXIT_MODE_MISMATCH)], ids=["invariant", "no convergence"])
+def test_a_fluid_error_while_the_replications_run_cancels_them(error, code, tmp_path,
+                                                               monkeypatch, capsys):
+    records = tmp_path / "runs"
+    records.mkdir()
+    _recorded_slow_runs(monkeypatch, records)
+
+    def solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(fluid, "solve", solve)
+    _cpus(monkeypatch, 2)
+    doc = {**_SIM, "mode": "compare", "n": [4, 8], "replications": 10}
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [
+        str(error) if code == cli.EXIT_INVARIANT else f"error: {error}"]
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    # the 2 workers run their first tasks and the 3 queued for them, about 0.6 s; the
+    # other 15 of the 20 are cancelled, where waiting for all would take 2 s
+    assert 1 <= len(list(records.iterdir())) < 20
+
+
+def test_compare_starts_its_replications_before_the_fluid_solve(tmp_path, monkeypatch):
+    records = tmp_path / "runs"
+    records.mkdir()
+    _recorded_slow_runs(monkeypatch, records)
+    seen, real = [], fluid.solve
+
+    def solve(*args, **kwargs):
+        seen.append(len(multiprocessing.active_children()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fluid, "solve", solve)
+    _cpus(monkeypatch, 2)
+    doc = {**_SIM, "mode": "compare", "n": [4, 8], "replications": 2}
+    assert cli.main(["--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert seen == [2]
+    assert len(list(records.iterdir())) == 4
     assert multiprocessing.active_children() == []
 
 

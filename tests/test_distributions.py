@@ -125,21 +125,43 @@ _SF_EDGES = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 700.0, 1
                          ids=repr)
 def test_sf_into_out_equals_sf_bit_for_bit(dist):
     x = np.array(_SF_EDGES)
-    # rate 2 times 1e308 overflows to -inf, whose exp is the right 0, but numpy warns on
-    # it with or without out: that warning is not what this test is about
-    with np.errstate(over="ignore"):
-        for shaped in (x, x.reshape(1, -1), np.column_stack((x, x[::-1]))):
-            expected = np.asarray(dist.sf(shaped)).tobytes()
-            buf = np.empty(shaped.shape)
-            assert dist.sf(shaped, out=buf) is buf
-            assert buf.tobytes() == expected
-            inplace = shaped.copy()   # out may be x itself, as FluidSolution.profiles passes it
-            assert dist.sf(inplace, out=inplace) is inplace
-            assert inplace.tobytes() == expected
-        for edge, from_array in zip(_SF_EDGES, dist.sf(x)):
-            got = dist.sf(edge)   # a scalar still gives a numpy scalar or a 0-d array
-            assert isinstance(got, np.generic) or (isinstance(got, np.ndarray) and got.ndim == 0)
-            assert np.asarray(got).tobytes() == from_array.tobytes()
+    for shaped in (x, x.reshape(1, -1), np.column_stack((x, x[::-1]))):
+        expected = np.asarray(dist.sf(shaped)).tobytes()
+        buf = np.empty(shaped.shape)
+        assert dist.sf(shaped, out=buf) is buf
+        assert buf.tobytes() == expected
+        inplace = shaped.copy()   # out may be x itself, as FluidSolution.profiles passes it
+        assert dist.sf(inplace, out=inplace) is inplace
+        assert inplace.tobytes() == expected
+    for edge, from_array in zip(_SF_EDGES, dist.sf(x)):
+        got = dist.sf(edge)   # a scalar still gives a numpy scalar or a 0-d array
+        assert isinstance(got, np.generic) or (isinstance(got, np.ndarray) and got.ndim == 0)
+        assert np.asarray(got).tobytes() == from_array.tobytes()
+
+
+def _unclipped(dist, method, x):
+    """dist's kernel as written before the clip; it overflows where rate x does."""
+    if isinstance(dist, HyperExponential):
+        return (1.0 - _outer_cdf(dist, x)) if method == "sf" else _OUTER_KERNELS[method](dist, x)
+    e = -dist.rate * np.maximum(x, 0.0)
+    return {"cdf": -np.expm1(e), "sf": np.exp(e),
+            "pdf": np.where(x >= 0.0, dist.rate * np.exp(e), 0.0),
+            "integrated_sf": -np.expm1(e) / dist.rate}[method]
+
+
+@pytest.mark.parametrize("dist", [Exponential(2.0), Exponential(1e300),
+                                  HyperExponential((0.4, 0.6), (0.5, 2.0))], ids=repr)
+def test_exponential_kernels_reach_their_limits_without_overflow(dist):
+    # rate x would overflow at the top of the float range; the kernels clip x at 746 over
+    # the slowest rate, where exp(-rate x) is already 0, so they reach their limits
+    # silently (pytest makes any warning an error), and no value moves on either side
+    top = np.array([1e308, np.finfo(float).max, math.inf])
+    slowest = min(dist.rates) if isinstance(dist, HyperExponential) else dist.rate
+    near = 746.0 / slowest * np.array([0.5, 0.999, 1.0, 1.001, 2.0, 1e3])
+    for method, limit in {"cdf": 1.0, "sf": 0.0, "pdf": 0.0, "integrated_sf": dist.mean}.items():
+        kernel = getattr(dist, method)
+        assert np.all(kernel(top) == limit), method
+        assert kernel(near).tobytes() == _unclipped(dist, method, near).tobytes(), method
 
 
 # the mixture kernels as written with np.multiply.outer and np.sum(axis=-1), kept as oracles
