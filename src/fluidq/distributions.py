@@ -40,26 +40,105 @@ class DistributionError(ValueError):
     """Invalid distribution parameters or an unsupported role."""
 
 
-def bisect_increasing(func, y, lo, hi=None):
-    """Where the nondecreasing func reaches y, entrywise in [lo, hi]: 80 vectorized halvings.
+def bisect_increasing(func, y, lo, hi=None, guess=None):
+    """Where the nondecreasing, entrywise func reaches y in [lo, hi]: vectorized halvings, or
+    a search from a guess that returns the same floats.
 
-    Returns the upper end of the last bracket, the smallest float with
-    func >= y to resolution; the bracket's midpoint can round to the float
-    below.  Without hi, the upper bracket doubles from 1 until func reaches
-    every target, and stops past 1e300, where the unreached targets get the
-    bracket end.  The package's one monotone inversion.
+    Returns the upper end of the last bracket after at most 80 halvings, the
+    smallest float with func >= y to resolution; the bracket's midpoint can
+    round to the float below.  Without hi, the upper bracket doubles from 1
+    until func reaches every target, and stops past 1e300, where the
+    unreached targets get the bracket end.  The halvings stop once one moves
+    no entry: each maps the bracket to the next by a fixed rule, so no later
+    one would move it either.
+
+    guess, an estimate of each entry's result, serves the entries whose
+    bracket is finite and nonnegative.  Such an entry steps 64, then 2^10,
+    then 2^20 floats from its guess toward y, staying in [lo, hi] and
+    checking each step with func, until two points a < b straddle y,
+    func(a) < y <= func(b), which also shows the bracket valid, func(lo) <
+    y <= func(hi).  It bisects the floats' bit patterns between them until
+    they are adjacent, and keeps that result x where the 80 halvings are
+    sure to reach adjacent floats too, (hi - lo) 2^-70 <= spacing(x): 70
+    halvings leave a few floats and 10 more close them.  Both then return
+    the one smallest float with func >= y, if func is nondecreasing as
+    computed in floating point.  Every other entry takes the halvings.  A
+    func that is monotone only in exact arithmetic, such as a sum of terms
+    that move in opposite directions, can cross y more than once within a
+    few floats, and the two searches can stop at different crossings, so
+    its callers pass no guess.  The package's one monotone inversion.
     """
     y = np.asarray(y, dtype=float)
     if hi is None:
         hi = 1.0
         while hi <= 1e300 and np.any(func(hi) < y):
             hi *= 2.0
+    if guess is None:
+        return _halvings(func, y, lo, hi)
+    shape = np.broadcast_shapes(y.shape, np.shape(lo), np.shape(hi), np.shape(guess))
+    y, lo, hi, guess = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
+                        for v in (y, lo, hi, guess))
+    todo = np.flatnonzero((lo >= 0.0) & (lo <= hi) & (hi < math.inf))
+    floor, ceiling = (np.abs(v[todo]).view(np.int64) for v in (lo, hi))   # -0.0 reads as 0.0
+    near = np.clip(guess[todo].view(np.int64), floor, ceiling)
+    up = func(near.view(float)) < y[todo]   # which way from the guess the result lies
+    at, a, b = ([np.empty(0, np.int64)] for _ in range(3))
+    for ulps in _GUESS_ULPS:
+        if not todo.size:
+            break
+        far = np.clip(near + np.where(up, ulps, -ulps), floor, ceiling)
+        crossed = (func(far.view(float)) >= y[todo]) == up
+        at.append(todo[crossed])
+        a.append(np.where(up, near, far)[crossed])
+        b.append(np.where(up, far, near)[crossed])
+        todo, floor, ceiling, near, up = (v[~crossed] for v in (todo, floor, ceiling, far, up))
+    at = np.concatenate(at)
+    x = _adjacent(func, y[at], np.concatenate(a), np.concatenate(b)).view(float)
+    exact = (hi[at] - lo[at]) * 2.0**-70 <= np.spacing(x)
+    out = np.empty(y.size)
+    out[at[exact]] = x[exact]
+    rest = np.ones(y.size, dtype=bool)
+    rest[at[exact]] = False
+    if rest.any():
+        out[rest] = _halvings(func, y[rest], lo[rest], hi[rest])
+    return out.reshape(shape)
+
+
+# how far bisect_increasing's search steps from a guess, in floats
+_GUESS_ULPS = (64, 1 << 10, 1 << 20)
+
+
+def _halvings(func, y, lo, hi):
+    """The halvings of bisect_increasing on [lo, hi], stopped once one moves no entry."""
+    lo, hi, y = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), y)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         below = func(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        if ((new_lo.view(np.int64) == lo.view(np.int64)).all()
+                and (new_hi.view(np.int64) == hi.view(np.int64)).all()):
+            return new_hi
+        lo, hi = new_lo, new_hi
     return hi
+
+
+def _adjacent(func, y, a, b):
+    """Bisection over the bit patterns a < b of nonnegative floats, func(a) < y <= func(b),
+    until they are adjacent; returns b, the smallest float with func >= y.  Entries whose
+    ends meet leave the arrays that the later steps evaluate."""
+    out = b.copy()
+    at = np.arange(b.size)
+    while at.size:
+        m = a + ((b - a) >> 1)
+        below = func(m.view(float)) < y
+        np.copyto(a, m, where=below)
+        np.copyto(b, m, where=~below)
+        wide = b - a > 1
+        if not wide.all():
+            out[at] = b
+            at, a, b, y = at[wide], a[wide], b[wide], y[wide]
+    return out
 
 
 class DistributionSpec:
@@ -380,10 +459,27 @@ class HyperExponential(DistributionSpec):
         return np.where(x >= 0.0, out, 0.0)
 
     def quantile(self, u):
-        # single-uniform inverse CDF via vectorized bisection; the mixture CDF
-        # is strictly increasing, and sf(x) <= exp(-min(rates) x) brackets it.
+        # bisect_increasing on the strictly increasing cdf, bracketed by
+        # sf(x) <= exp(-min(rates) x), from Newton's guess.  The cdf sums phases that each rise
+        # as computed, so it is nondecreasing in floating point too, as the guess needs.  It is
+        # concave, so Newton from below stays below the root and rises.  Newton starts at the
+        # largest lower bound that one phase gives, sf(x) >= w exp(-r x), or the fastest,
+        # sf(x) >= exp(-max(rates) x), and sweeps until every residual is within 2^-26 u; that
+        # sweep's quadratic step lands within a few floats of the root.  Entries unsettled
+        # after 40 sweeps keep the guess they have: the search checks any guess.
         u = np.asarray(u, dtype=float)
-        return bisect_increasing(self.cdf, u, np.zeros_like(u), -np.log1p(-u) / min(self.rates))
+        t = -np.log1p(-u)
+        x = t / max(self.rates)
+        for w, r in zip(self.weights, self.rates):
+            x = np.maximum(x, (t + math.log(w)) / r)
+        with np.errstate(all="ignore"):
+            for _ in range(40):
+                terms = [(w, r, np.expm1(-r * x)) for w, r in zip(self.weights, self.rates)]
+                residual = u + sum(w * e for w, _, e in terms)
+                x = x + residual / sum(w * r * (e + 1.0) for w, r, e in terms)
+                if np.all(np.abs(residual) <= 2.0**-26 * u):
+                    break
+        return bisect_increasing(self.cdf, u, np.zeros_like(u), t / min(self.rates), guess=x)
 
     def integrated_sf(self, x):
         xp = self._clipped(x)

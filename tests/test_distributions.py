@@ -11,10 +11,10 @@ from fluidq.distributions import (
     HyperExponential,
     LogNormal,
     Uniform,
-    bisect_increasing,
     distribution_from_dict,
 )
 from fluidq.fluid import survival_at_offered_wait
+from halvings_oracle import halvings
 
 LN2 = math.log(2.0)
 
@@ -208,8 +208,8 @@ def test_mixture_sums_equal_the_outer_formulas_bit_for_bit(phases):
         for edge in _MIXTURE_EDGES:
             assert float(kernel(edge)).hex() == float(oracle(dist, np.asarray(edge))).hex()
     u = np.concatenate((_UNIFORM_EDGES, rng.random(100_000)))
-    want = bisect_increasing(lambda y: _outer_cdf(dist, y), u, np.zeros_like(u),
-                             -np.log1p(-u) / min(dist.rates))
+    want = halvings(lambda y: _outer_cdf(dist, y), u, np.zeros_like(u),
+                    -np.log1p(-u) / min(dist.rates))
     assert dist.quantile(u).tobytes() == want.tobytes()
     assert dist.mean == float(np.sum(np.divide(dist.weights, dist.rates)))
 
