@@ -49,8 +49,8 @@ def bisect_increasing(func, y, lo, hi=None, guess=None):
     round to the float below.  Without hi, the upper bracket doubles from 1
     until func reaches every target, and stops past 1e300, where the
     unreached targets get the bracket end.  The halvings stop once one moves
-    no entry: each maps the bracket to the next by a fixed rule, so no later
-    one would move it either.
+    no entry, tested from the 49th on: each maps the bracket to the next by
+    a fixed rule, so no later one would move it either.
 
     guess, an estimate of each entry's result, serves the entries whose
     bracket is finite and nonnegative.  Such an entry steps 64, then 2^10,
@@ -111,16 +111,23 @@ _GUESS_ULPS = (64, 1 << 10, 1 << 20)
 def _halvings(func, y, lo, hi):
     """The halvings of bisect_increasing on [lo, hi], stopped once one moves no entry."""
     lo, hi, y = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), y)
-    for _ in range(80):
+    for step in range(80):
         mid = 0.5 * (lo + hi)
         below = func(mid) < y
         new_lo = np.where(below, mid, lo)
         new_hi = np.where(below, hi, mid)
-        if ((new_lo.view(np.int64) == lo.view(np.int64)).all()
+        if (step >= _FIRST_TEST and (new_lo.view(np.int64) == lo.view(np.int64)).all()
                 and (new_hi.view(np.int64) == hi.view(np.int64)).all()):
             return new_hi
         lo, hi = new_lo, new_hi
     return hi
+
+
+# the halving from which _halvings tests for a fixed point.  k halvings of [0, H] leave a
+# bracket about H 2^-k wide, and floats below H lie at most H 2^-52 apart, so none ends on
+# adjacent floats before about 51; a later test moves no result, since a bracket left in
+# place stays there
+_FIRST_TEST = 48
 
 
 def _adjacent(func, y, a, b):
