@@ -1,9 +1,10 @@
 """Equilibrium state of the fluid model.
 
 In steady state the patience CDF at the offered waiting time equals the
-overload fraction max((rho - 1)/rho, 0).  The smallest root is reported as
-canonical; when the CDF is flat at the target level the maximal bracket of
-roots is exposed alongside it.
+overload fraction max((rho - 1)/rho, 0).  The wait is the least float where
+the CDF reaches that target, and the bracket beside it ends at the least
+float where the CDF reaches the next float past it, so a flat stretch of the
+CDF at the target level lies inside the bracket.
 """
 
 from __future__ import annotations

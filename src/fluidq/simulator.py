@@ -81,9 +81,9 @@ class SystemSnapshot:
 def _busy_residuals(service: DistributionSpec, init: ValidatedInitial, count: int) -> np.ndarray:
     """The x_i with server_tail(x_i) = busy0 (1 - (i + 1/2)/count).  Levels below the mass
     a tabulated tail keeps past its grid go where that tail stops falling, the grid's end.
-    The halvings take no guess: a lognormal equilibrium tail sums terms that move in
-    opposite directions, so it is monotone only in exact arithmetic, and a search from a
-    guess can stop at another crossing a few floats away."""
+    bisect_increasing takes no guess here: a lognormal equilibrium tail sums terms that move
+    in opposite directions, so it is monotone only in exact arithmetic, each x_i is one
+    crossing of its level, and a guess could pick another a few floats away."""
     levels = init.busy0 * (1.0 - (np.arange(count) + 0.5) / count)
     levels = np.maximum(levels, init.server_tail(service, np.finfo(float).max))
     return bisect_increasing(lambda x: -init.server_tail(service, x), -levels, np.zeros(count))

@@ -1,8 +1,9 @@
-"""Every caller of bisect_increasing returns the floats of 80 fixed halvings, bit for bit.
+"""Every caller of bisect_increasing returns the least float with func >= y, whatever the guess.
 
-bisect_increasing stops its halvings once one moves no entry, and HyperExponential.quantile
-searches from a Newton guess; neither may move a bit of what the fixed loop in
-halvings_oracle returns.
+The result is defined by a property, not by the path of a loop: x in [lo, hi] with
+func(prev(x)) < y <= func(x), or hi where func(hi) < y.  For a func nondecreasing as
+computed in floating point, such an x is the least float with func >= y; for a lognormal
+tail, monotone only in exact arithmetic, it is one crossing of y.
 """
 
 import math
@@ -22,7 +23,6 @@ from fluidq.fluid import (FluidConfig, InitialCondition, ServiceComplementShaped
                           TabulatedProfile, validate_initial)
 from fluidq.measures import TailMeasure
 from fluidq.simulator import _busy_residuals
-from halvings_oracle import halvings
 
 MIXTURES = [
     HyperExponential((0.4, 0.6), (0.5, 2.0)),
@@ -30,6 +30,7 @@ MIXTURES = [
     HyperExponential((1 / 3, 1 / 3, 1 / 3), (1.0, 3.0, 9.0)),
 ]
 EDGE_UNIFORMS = [0.0, 5e-324, 1e-300, 1e-17, 1e-9, 0.5, 0.999999, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+MAX = np.finfo(float).max
 
 
 def _ids(dists):
@@ -40,20 +41,27 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _quantile_oracle(dist, u):
-    u = np.asarray(u, dtype=float)
-    return halvings(dist.cdf, u, np.zeros_like(u), -np.log1p(-u) / min(dist.rates))
+def _assert_crossing(func, y, x, lo=0.0, hi=MAX):
+    """x in [lo, hi] with func(prev(x)) < y <= func(x) entrywise, prev(lo) read as below y,
+    or x = hi with func(hi) < y; for a func nondecreasing as computed, the least float."""
+    y, x, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, x, lo, hi)))
+    assert np.all((lo <= x) & (x <= hi))
+    reached = func(x) >= y
+    assert np.all(reached | (x == hi)), x[~reached & (x != hi)]
+    below = (x == lo) | (func(np.nextafter(x, 0.0)) < y)
+    assert np.all(below), x[~below]
 
 
 # ---------------------------------------------------------------- hyperexponential draws
 
 
 @pytest.mark.parametrize("dist", MIXTURES, ids=_ids(MIXTURES))
-def test_quantile_equals_the_halvings_bit_for_bit(dist):
+def test_quantile_is_the_least_float_with_cdf_at_u(dist):
     u = np.concatenate((EDGE_UNIFORMS, np.random.default_rng(26).random(100_000)))
-    assert _bits(dist.quantile(u)) == _bits(_quantile_oracle(dist, u))
-    for edge in EDGE_UNIFORMS:
-        assert float(dist.quantile(edge)).hex() == float(_quantile_oracle(dist, edge)).hex(), edge
+    x = dist.quantile(u)
+    _assert_crossing(dist.cdf, u, x, hi=-np.log1p(-u) / min(dist.rates))
+    for edge, want in zip(EDGE_UNIFORMS, x):
+        assert float(dist.quantile(edge)).hex() == float(want).hex(), edge
 
 
 @pytest.mark.parametrize("size", [1, 46, 2048])
@@ -65,7 +73,8 @@ def test_quantile_of_an_array_equals_its_scalar_calls(dist, size):
 
 
 def test_quantile_evaluates_the_cdf_a_few_times_per_block(monkeypatch):
-    # 80 halvings took 80 evaluations; the search from Newton's guess takes about a sixth
+    # the bisection alone takes 63 evaluations; the search from Newton's guess
+    # takes about a sixth
     dist, cdf, calls = MIXTURES[0], HyperExponential.cdf, []
 
     def counted(self, x):
@@ -85,18 +94,25 @@ GUESSED = [Exponential(2.0), HyperExponential((0.4, 0.6), (0.5, 2.0)),
 
 
 @pytest.mark.parametrize("dist", GUESSED, ids=_ids(GUESSED))
-def test_any_guess_returns_the_floats_of_the_halvings(dist):
-    # targets down to 1e-30, where the halvings from [0, 1] stop 2^-80 wide, far from
-    # adjacent floats: there the guess must not serve, whatever it is
+def test_any_guess_returns_the_floats_found_without_one(dist):
+    # targets down to 1e-30, far below the guesses' steps of up to 2^20 floats
     rng = np.random.default_rng(9)
     y = np.concatenate((np.geomspace(1e-30, 0.99 * dist.mean, 2000),
                         rng.uniform(0.0, dist.mean, 2000)))
-    want = halvings(dist.integrated_sf, y, 0.0)
+    want = bisect_increasing(dist.integrated_sf, y, 0.0)
+    _assert_crossing(dist.integrated_sf, y, want)
     exact = want.view(np.int64)
     near = (exact + rng.integers(-3000, 3000, y.size)).view(float)
     for guess in (want, near, 1.5 * want, np.full(y.size, math.nan), np.full(y.size, -1.0),
                   np.full(y.size, math.inf), np.zeros(y.size)):
         assert _bits(bisect_increasing(dist.integrated_sf, y, 0.0, guess=guess)) == _bits(want)
+
+
+def test_an_unreached_target_returns_hi_whatever_the_guess():
+    dist = Exponential(1.0)
+    for guess in (None, 0.5, 2.0, math.inf):
+        assert float(bisect_increasing(dist.cdf, 0.9, 0.0, 2.0, guess=guess)) == 2.0
+        assert float(bisect_increasing(dist.cdf, 0.0, 0.0, 2.0, guess=guess)) == 0.0
 
 
 # ---------------------------------------------------------------- callers without a guess
@@ -107,27 +123,36 @@ INTEGRATED = [Exponential(1.0), Uniform(0.5, 2.5), LogNormal.from_mean_cv(1.0, 1
 
 
 @pytest.mark.parametrize("dist", INTEGRATED, ids=_ids(INTEGRATED))
-def test_integrated_sf_inverse_equals_the_halvings_bit_for_bit(dist):
-    y = np.concatenate((np.geomspace(1e-30, dist.mean, 3000), [0.0, -1.0, dist.mean, 2.0 * dist.mean],
+def test_integrated_sf_inverse_crosses_y(dist):
+    y = np.concatenate((np.geomspace(1e-30, dist.mean, 3000),
                         np.random.default_rng(4).uniform(0.0, dist.mean, 3000)))
-    inside = (y > 0.0) & (y < dist.mean)
-    x = halvings(dist.integrated_sf, np.where(inside, y, 0.0), 0.0)
-    want = np.where(inside, x, np.where(y <= 0.0, 0.0, dist.support_end))
-    assert _bits(dist.integrated_sf_inverse(y)) == _bits(want)
+    inside = y < dist.mean
+    _assert_crossing(dist.integrated_sf, y[inside], dist.integrated_sf_inverse(y[inside]))
+    edges = [0.0, -1.0, dist.mean, 2.0 * dist.mean]
+    want = [0.0, 0.0, dist.support_end, dist.support_end]
+    assert _bits(dist.integrated_sf_inverse(edges)) == _bits(want)
+
+
+@pytest.mark.parametrize("dist", INTEGRATED, ids=_ids(INTEGRATED))
+def test_integrated_sf_inverse_crosses_tiny_targets(dist):
+    # 80 arithmetic halvings of [0, 1] end 2^-80 wide, short of adjacent floats below ~1e-7
+    y = np.geomspace(5e-324, 1e-7, 2000)
+    _assert_crossing(dist.integrated_sf, y, dist.integrated_sf_inverse(y))
 
 
 PATIENCE = [Exponential(1.0), Uniform(0.0, 2.0), LogNormal.from_mean_cv(1.0, 3.0),
             HyperExponential((0.4, 0.6), (0.5, 2.0)), HyperExponential((0.1, 0.9), (0.01, 10.0))]
 
 
-@pytest.mark.parametrize("arrival_rate", [1.05, 1.5, 4.0])
+@pytest.mark.parametrize("arrival_rate", [1.0 + 1e-12, 1.0 + 2.0**-30, 1.05, 1.5, 4.0])
 @pytest.mark.parametrize("patience", PATIENCE, ids=_ids(PATIENCE))
-def test_equilibrium_wait_bracket_equals_the_halvings_bit_for_bit(patience, arrival_rate):
+def test_equilibrium_wait_bracket_is_the_least_float_with_cdf_at_its_target(patience,
+                                                                             arrival_rate):
+    # the docstring's "to the last float", near the critical load too
     state = equilibrium_state(arrival_rate, patience, Exponential(1.0))
     target = (arrival_rate - 1.0) / arrival_rate
-    want = halvings(patience.cdf, [target, np.nextafter(target, 1.0)], 0.0)
-    assert _bits(state.wait_bracket) == _bits(want)
-    assert float(state.offered_wait).hex() == float(want[0]).hex()
+    _assert_crossing(patience.cdf, [target, np.nextafter(target, 1.0)], state.wait_bracket)
+    assert state.offered_wait == state.wait_bracket[0]
 
 
 def _profiles():
@@ -150,8 +175,9 @@ PROFILES = list(_profiles())
 
 @pytest.mark.parametrize("count", [1, 100, 3200])
 @pytest.mark.parametrize("service, init", [p[1:] for p in PROFILES], ids=[p[0] for p in PROFILES])
-def test_busy_residuals_equal_the_halvings_bit_for_bit(service, init, count):
+def test_busy_residuals_cross_their_levels(service, init, count):
+    # a lognormal tail is monotone only in exact arithmetic: each residual is a crossing
     levels = init.busy0 * (1.0 - (np.arange(count) + 0.5) / count)
-    levels = np.maximum(levels, init.server_tail(service, np.finfo(float).max))
-    want = halvings(lambda x: -init.server_tail(service, x), -levels, np.zeros(count))
-    assert _bits(_busy_residuals(service, init, count)) == _bits(want)
+    levels = np.maximum(levels, init.server_tail(service, MAX))
+    _assert_crossing(lambda x: -init.server_tail(service, x), -levels,
+                     _busy_residuals(service, init, count))
