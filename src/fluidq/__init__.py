@@ -11,7 +11,7 @@ from .distributions import (
     distribution_from_dict,
 )
 from .equilibrium import EquilibriumState, equilibrium_state
-from .expode import ExpOdeConfig, cross_check, drift, integrate
+from .expode import ExpOdeConfig, cross_check, integrate
 from .fluid import (
     EMPTY_SERVERS,
     EquilibriumShaped,

@@ -302,8 +302,8 @@ def _sim_tasks(cfg: dict) -> list:
             num_servers=n, interarrival=arrival.time_scaled(1.0 / n),
             patience=cfg["patience"], service=cfg["service"], horizon=cfg["horizon"],
             snapshot_times=cfg.get("snapshot_times", (cfg["horizon"],)),
-            seed=cfg["seed"], replications=cfg["replications"], initial=cfg["initial"])
-        tasks += [(n, sim_cfg, i) for i in range(sim_cfg.replications)]
+            seed=cfg["seed"], initial=cfg["initial"])
+        tasks += [(n, sim_cfg, i) for i in range(cfg["replications"])]
     return tasks
 
 

@@ -361,12 +361,13 @@ class LogNormal(DistributionSpec):
 
     def integrated_sf(self, x):
         # int_0^x sf = x sf(x) + E[Y] Phi((ln x - mu)/sigma - sigma),
-        # by parts plus the lognormal partial-expectation identity.
+        # by parts plus the lognormal partial-expectation identity; at x = inf, the mean.
         x = np.asarray(x, dtype=float)
-        pos = x > 0.0
-        xs = np.where(pos, x, 1.0)
+        finite = (x > 0.0) & (x < math.inf)
+        xs = np.where(finite, x, 1.0)
         z = self._z(xs)
-        return np.where(pos, xs * ndtr(-z) + self.mean * ndtr(z - self.sigma), 0.0)
+        return np.where(finite, xs * ndtr(-z) + self.mean * ndtr(z - self.sigma),
+                        np.where(x > 0.0, self.mean, 0.0))
 
     @property
     def mean(self) -> float:

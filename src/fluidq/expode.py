@@ -1,13 +1,15 @@
 """Exponential special case: the fluid content solves a scalar ODE.
 
 With exponential patience and service the fixed-point equation collapses to
-x' = mu (rho - 1) - alpha (x - 1)^+ + mu (x - 1)^-, which a plain RK4 sweep
-integrates to high accuracy.  This serves as an independent oracle for the
-general solver.
+x' = mu (rho - 1) - alpha (x - 1)^+ + mu (1 - x)^+.  The drift is linear on
+each side of x = 1, so the solution is piecewise exponential, monotone, and
+crosses 1 at most once; integrate evaluates it in closed form.  This serves
+as an independent oracle for the general solver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,28 +34,23 @@ class ExpOdeConfig:
             raise ValueError("traffic intensity rho must be positive")
 
 
-def drift(cfg: ExpOdeConfig, x: float) -> float:
-    """Right side of the fluid ODE; piecewise linear with a kink at x = 1."""
-    over = max(x - 1.0, 0.0)
-    under = max(1.0 - x, 0.0)
-    return cfg.service_rate * (cfg.traffic_intensity - 1.0) - cfg.patience_rate * over + cfg.service_rate * under
-
-
 def integrate(cfg: ExpOdeConfig):
-    """Classical RK4 sweep; returns (times, trajectory)."""
-    steps = int(round(cfg.horizon / cfg.dt))
-    times = np.arange(steps + 1) * cfg.dt
-    x = np.empty(steps + 1)
-    x[0] = cfg.x0
-    h = cfg.dt
-    v = cfg.x0
-    for k in range(steps):
-        k1 = drift(cfg, v)
-        k2 = drift(cfg, v + 0.5 * h * k1)
-        k3 = drift(cfg, v + 0.5 * h * k2)
-        k4 = drift(cfg, v + h * k3)
-        v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x[k + 1] = v
+    """The exact solution on the dt grid; returns (times, trajectory).
+
+    x relaxes toward rho at rate mu below 1, and toward 1 + mu (rho - 1) / alpha at
+    rate alpha above it, so it crosses 1 at most once, toward rho's side.  expm1 and
+    log1p keep every term finite for any positive rates."""
+    mu, alpha, rho, x0 = cfg.service_rate, cfg.patience_rate, cfg.traffic_intensity, cfg.x0
+    times = np.arange(int(round(cfg.horizon / cfg.dt)) + 1) * cfg.dt
+    if x0 > 1.0:
+        rate, slope, after = alpha, mu * (rho - 1.0) - alpha * (x0 - 1.0), mu
+        cross = math.log1p(alpha * (x0 - 1.0) / (mu * (1.0 - rho))) / alpha if rho < 1.0 else math.inf
+    else:
+        rate, slope, after = mu, mu * (rho - x0), alpha
+        cross = math.log1p((1.0 - x0) / (rho - 1.0)) / mu if rho > 1.0 else math.inf
+    x = x0 + slope * (-np.expm1(-rate * times) / rate)
+    late = times >= cross
+    x[late] = 1.0 + mu * (rho - 1.0) * (-np.expm1(-after * (times[late] - cross)) / after)
     return times, x
 
 
@@ -72,7 +69,7 @@ def cross_check(cfg: ExpOdeConfig) -> CrossCheckResult:
     (the stationary-excess law coincides with the service law) and backs out
     the virtual-buffer mass that yields queue mass (x0 - 1)^+, so the initial
     load decays exactly as x0 * exp(-mu t).  solve runs first, so a start beyond
-    the buffer's reach or a horizon off the dt grid fails before the RK4 sweep.
+    the buffer's reach or a horizon off the dt grid fails before integrate.
     """
     lam = cfg.traffic_intensity * cfg.service_rate
     patience = Exponential(cfg.patience_rate)

@@ -46,15 +46,12 @@ class SimConfig:
     horizon: float
     snapshot_times: tuple
     seed: int = 0
-    replications: int = 1
     initial: ValidatedInitial | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
         if self.num_servers < 1:
             raise ValueError("num_servers must be at least 1")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
         if not all(0.0 <= t <= self.horizon + grid_slack(t) for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, horizon]")
         if list(self.snapshot_times) != sorted(self.snapshot_times):

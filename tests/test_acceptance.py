@@ -139,11 +139,10 @@ def _convergence_trend(service, seed):
             horizon=10.0,
             snapshot_times=snapshot_times,
             seed=seed,
-            replications=20,
         )
         gaps = np.array([   # (replication, gap, time)
             compare_to_fluid([fluid_scale(s, n) for s in run(sim_cfg, i)], sol, profiles)
-            for i in range(sim_cfg.replications)])
+            for i in range(20)])
         mean_sup_q.append(float(np.mean(gaps[:, 2].max(axis=1))))
         final_z[n] = float(np.mean(gaps[:, 3, -1]))
     return mean_sup_q, final_z[400]

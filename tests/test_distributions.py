@@ -259,6 +259,13 @@ def test_integrated_sf_examples():
         assert dist.integrated_sf(0.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dist", FAMILIES, ids=_ids(FAMILIES))
+def test_integrated_sf_at_infinity_is_the_mean(dist):
+    assert dist.integrated_sf(math.inf) == dist.mean
+    assert dist.equilibrium_cdf(math.inf) == 1.0
+
+
 @pytest.mark.parametrize("dist", FAMILIES, ids=_ids(FAMILIES))
 def test_integrated_sf_one_lipschitz(dist):
     rng = np.random.default_rng(11)

@@ -1,21 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from fluidq.expode import CrossCheckResult, ExpOdeConfig, cross_check, drift, integrate
-
-
-def test_drift_examples():
-    assert drift(ExpOdeConfig(1.0, 1.0, 1.0), 1.0) == 0.0
-    assert drift(ExpOdeConfig(1.0, 2.0, 2.0), 1.5) == pytest.approx(0.0, abs=1e-15)
-    assert drift(ExpOdeConfig(1.0, 1.0, 0.8), 0.8) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_drift_sign_structure():
-    # below the stationary point the drift is positive, above it negative
-    cfg = ExpOdeConfig(1.0, 2.0, 2.0)  # stationary at x = 1.5
-    assert drift(cfg, 1.2) > 0.0 and drift(cfg, 1.8) < 0.0
-    cfg = ExpOdeConfig(1.0, 1.0, 0.8)  # stationary at x = 0.8
-    assert drift(cfg, 0.5) > 0.0 and drift(cfg, 0.95) < 0.0
+from fluidq.expode import CrossCheckResult, ExpOdeConfig, cross_check, integrate
 
 
 def test_integrate_stationary_start_is_constant():
@@ -36,14 +23,30 @@ def test_integrate_overloaded_limit():
     assert x[-1] == pytest.approx(1.5, abs=1e-6)
 
 
-def test_rk4_order():
-    # halving dt shrinks the closed-form error by ~2^4 on the smooth branch
-    errs = []
-    for dt in (0.05, 0.025):
-        cfg = ExpOdeConfig(1.0, 1.0, 0.8, x0=0.0, horizon=5.0, dt=dt)
-        t, x = integrate(cfg)
-        errs.append(float(np.max(np.abs(x - 0.8 * (1.0 - np.exp(-t))))))
-    assert 8.0 <= errs[0] / errs[1] <= 32.0
+# (mu, alpha, rho, x0, horizon): each side of x = 1 and each way across it
+ODE_CASES = {
+    "crossing from below, alpha != mu": (1.0, 2.0, 2.0, 0.0, 10.0),
+    "crossing from above": (1.0, 2.0, 0.8, 1.3, 20.0),
+    "x0 = 1, rho > 1": (1.0, 1.0, 1.5, 1.0, 10.0),
+    "x0 = 1, rho < 1": (1.0, 1.0, 0.8, 1.0, 10.0),
+    "stationary start": (1.0, 2.0, 2.0, 1.5, 10.0),
+    "alpha = mu, H = 100": (1.0, 1.0, 1.5, 0.0, 100.0),
+    "alpha = 1e-300": (1.0, 1e-300, 1.5, 0.0, 10.0),
+}
+
+
+@pytest.mark.parametrize("mu,alpha,rho,x0,horizon", ODE_CASES.values(), ids=ODE_CASES)
+def test_integrate_is_monotone_and_matches_a_high_order_solver(mu, alpha, rho, x0, horizon):
+    t, x = integrate(ExpOdeConfig(mu, alpha, rho, x0=x0, horizon=horizon, dt=1e-3))
+    step = np.diff(x)
+    assert np.all(np.isfinite(x))
+    assert np.all(step >= 0.0) or np.all(step <= 0.0)
+
+    def rhs(_, v):
+        return [mu * (rho - 1.0) - alpha * max(v[0] - 1.0, 0.0) + mu * max(1.0 - v[0], 0.0)]
+
+    ref = solve_ivp(rhs, (0.0, horizon), [x0], method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t)
+    assert float(np.max(np.abs(x - ref.y[0]))) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from fluidq.simulator import (
 
 
 def _mmnm_config(n, lam=1.2, mu=1.0, alpha=1.0, horizon=10.0, snapshots=(5.0, 10.0),
-                 seed=99, replications=1, initial=None):
+                 seed=99, initial=None):
     return SimConfig(
         num_servers=n,
         interarrival=Exponential(n * lam),
@@ -31,7 +31,6 @@ def _mmnm_config(n, lam=1.2, mu=1.0, alpha=1.0, horizon=10.0, snapshots=(5.0, 10
         horizon=horizon,
         snapshot_times=snapshots,
         seed=seed,
-        replications=replications,
         initial=initial,
     )
 
@@ -251,14 +250,9 @@ def test_determinism_same_seed_and_index():
         np.testing.assert_array_equal(s1.server_measure.tails, s2.server_measure.tails)
 
 
-def test_sim_config_needs_one_replication():
-    with pytest.raises(ValueError, match="replications must be at least 1"):
-        _mmnm_config(4, replications=0)
-
-
 def test_replications_have_independent_streams():
-    cfg = _mmnm_config(4, snapshots=(10.0,), replications=3)
-    reps = [run(cfg, i) for i in range(cfg.replications)]
+    cfg = _mmnm_config(4, snapshots=(10.0,))
+    reps = [run(cfg, i) for i in range(3)]
     assert len(reps) == 3
     sizes = {rep[0].arrivals for rep in reps}
     assert len(sizes) > 1  # streams differ across replication indices
@@ -339,8 +333,7 @@ def test_tabulated_profile_with_mass_past_its_grid_seeds_at_the_grid_end():
 @pytest.mark.parametrize("n", [400, 1600])
 def test_equilibrium_start_keeps_the_scaled_queue_at_its_fluid_value(n):
     state, init = _equilibrium_start(1.5, Exponential(1.0), Exponential(1.0))
-    cfg = _mmnm_config(n, lam=1.5, horizon=2.0, snapshots=np.arange(9) * 0.25,
-                       replications=8, initial=init)
+    cfg = _mmnm_config(n, lam=1.5, horizon=2.0, snapshots=np.arange(9) * 0.25, initial=init)
     queue = [[fluid_scale(s, n).queue_size for s in run(cfg, i)] for i in range(8)]
     gap = np.abs(np.mean(queue, axis=0) - state.queue_mass)
     assert float(np.max(gap)) <= 0.05, gap
@@ -366,7 +359,7 @@ def test_stream_is_pinned_for_an_equilibrium_start():
     patience, service = HyperExponential((0.4, 0.6), (0.5, 2.0)), LogNormal.from_mean_cv(1.0, 1.0)
     _, init = _equilibrium_start(1.5, patience, service)
     cfg = SimConfig(30, Exponential(30 * 1.5), patience, service, horizon=3.0,
-                    snapshot_times=(0.0, 1.0, 3.0), seed=17, replications=2, initial=init)
+                    snapshot_times=(0.0, 1.0, 3.0), seed=17, initial=init)
     assert [_pins(run(cfg, i)) for i in range(2)] == [
         [((10, 13, 30, 3, 0, 0), "0x1.53488149e776dp+2", "0x1.d1b4cb7d6d5bbp+4"),
          ((14, 21, 30, 22, 30, 53), "0x1.13e42698f8110p+3", "0x1.1bb01802e8be4p+5"),
@@ -381,7 +374,7 @@ def test_stream_is_pinned_across_draw_blocks():
     # ~3000 arrivals per replication: arrival times carry over a 2048-row block boundary
     n = 400
     cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0),
-                    horizon=5.0, snapshot_times=(1.0, 3.0, 5.0), seed=23, replications=2)
+                    horizon=5.0, snapshot_times=(1.0, 3.0, 5.0), seed=23)
     assert [_pins(run(cfg, i)) for i in range(2)] == [
         [((4, 4, 400, 0, 185, 589), "0x1.c5a9c82cff048p+1", "0x1.4b20b44836cb8p+8"),
          ((198, 235, 400, 197, 1009, 1804), "0x1.b5f81a239f19fp+7", "0x1.6634ab6474418p+8"),
@@ -445,7 +438,7 @@ def test_compare_to_fluid_deterministic_rows():
                      horizon=4.0, dt=1e-3)
     sol = solve(fc)
     probes = np.linspace(-4.0, 4.0, 65)
-    cfg = _mmnm_config(10, snapshots=(2.0, 4.0), horizon=4.0, replications=2)
+    cfg = _mmnm_config(10, snapshots=(2.0, 4.0), horizon=4.0)
     scaled = [[fluid_scale(s, 10) for s in run(cfg, i)] for i in range(2)]
     profiles = sol.profiles([2.0, 4.0], probes)
     c1 = np.array([compare_to_fluid(rep, sol, profiles) for rep in scaled])
