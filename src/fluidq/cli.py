@@ -300,7 +300,7 @@ def _sim_tasks(cfg: dict) -> list:
     for n in cfg["n"]:
         sim_cfg = simulator.SimConfig(
             num_servers=n, interarrival=arrival.time_scaled(1.0 / n),
-            patience=cfg["patience"], service=cfg["service"], horizon=cfg["horizon"],
+            patience=cfg["patience"], service=cfg["service"],
             snapshot_times=cfg.get("snapshot_times", (cfg["horizon"],)),
             seed=cfg["seed"], initial=cfg["initial"])
         tasks += [(n, sim_cfg, i) for i in range(cfg["replications"])]

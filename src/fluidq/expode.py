@@ -34,14 +34,21 @@ class ExpOdeConfig:
             raise ValueError("traffic intensity rho must be positive")
 
 
-def integrate(cfg: ExpOdeConfig):
-    """The exact solution on the dt grid; returns (times, trajectory).
+def _fluid_config(cfg: ExpOdeConfig) -> FluidConfig:
+    """The matching exponential fluid model, on the grid the general solver marches."""
+    return FluidConfig(cfg.traffic_intensity * cfg.service_rate, Exponential(cfg.patience_rate),
+                       Exponential(cfg.service_rate), cfg.horizon, cfg.dt)
 
-    x relaxes toward rho at rate mu below 1, and toward 1 + mu (rho - 1) / alpha at
-    rate alpha above it, so it crosses 1 at most once, toward rho's side.  expm1 and
-    log1p keep every term finite for any positive rates."""
+
+def integrate(cfg: ExpOdeConfig):
+    """The exact solution on solve's dt grid (FluidConfig's rule: a dt <= 0 or a horizon
+    off the grid raises FluidModelError); returns (times, trajectory).  x relaxes toward
+    rho at rate mu below 1, and toward 1 + mu (rho - 1) / alpha at rate alpha above it, so
+    it crosses 1 at most once, toward rho's side.  expm1 and log1p keep every term finite
+    for any positive rates."""
     mu, alpha, rho, x0 = cfg.service_rate, cfg.patience_rate, cfg.traffic_intensity, cfg.x0
-    times = np.arange(int(round(cfg.horizon / cfg.dt)) + 1) * cfg.dt
+    fc = _fluid_config(cfg)
+    times = np.arange(fc.steps + 1) * fc.dt
     if x0 > 1.0:
         rate, slope, after = alpha, mu * (rho - 1.0) - alpha * (x0 - 1.0), mu
         cross = math.log1p(alpha * (x0 - 1.0) / (mu * (1.0 - rho))) / alpha if rho < 1.0 else math.inf
@@ -71,17 +78,10 @@ def cross_check(cfg: ExpOdeConfig) -> CrossCheckResult:
     load decays exactly as x0 * exp(-mu t).  solve runs first, so a start beyond
     the buffer's reach or a horizon off the dt grid fails before integrate.
     """
-    lam = cfg.traffic_intensity * cfg.service_rate
-    patience = Exponential(cfg.patience_rate)
+    fluid_cfg = _fluid_config(cfg)
+    lam = fluid_cfg.arrival_rate
     q0 = max(cfg.x0 - 1.0, 0.0)
-    r0 = lam * patience.integrated_sf_inverse(q0 / lam)
-    fluid_cfg = FluidConfig(
-        arrival_rate=lam,
-        patience=patience,
-        service=Exponential(cfg.service_rate),
-        horizon=cfg.horizon,
-        dt=cfg.dt,
-    )
+    r0 = lam * fluid_cfg.patience.integrated_sf_inverse(q0 / lam)
     init = InitialCondition(
         virtual_buffer_mass=r0,
         server_profile=EquilibriumShaped(min(cfg.x0, 1.0)),

@@ -308,9 +308,8 @@ class FluidSolution:
         place, by service.sf(table, out=table): a fresh block each time would
         fault in fresh pages each time.  At 2**18 cells (2 MiB) it also stays
         below the 4 MiB above which numpy asks the kernel for huge pages.
-        A block's row count is a multiple of 8 (at least 8): the BLAS
-        matrix-vector kernel sums rows in groups, and other row counts move
-        the last bit of some tails.
+        Each sum over the lags is an einsum, in numpy's own fixed order: no
+        tail depends on the BLAS kernel, the thread count or the row count.
         """
         cfg = self.config
         lam = cfg.arrival_rate
@@ -322,19 +321,19 @@ class FluidSolution:
         coeff = cfg.patience.sf(waits_mid) * np.diff(self.scheduled[: kmax + 1])
         lags = (np.arange(kmax - 1, -1, -1) + 0.5) * cfg.dt
         started = np.zeros((len(ks), positive.size))
-        rows = max(8, _PROFILE_CELLS // max(kmax, 1) // 8 * 8)
+        rows = max(1, _PROFILE_CELLS // max(kmax, 1))
         block = np.empty((min(rows, positive.size), kmax))
         for i in range(0, positive.size if kmax else 0, rows):
             table = block[: positive.size - i]
             cfg.service.sf(np.add(positive[i : i + rows, None], lags, out=table), out=table)
             for c, k in enumerate(ks):
-                started[c, i : i + rows] = table[:, kmax - k :] @ coeff[:k]
+                started[c, i : i + rows] = np.einsum("ij,j->i", table[:, kmax - k :], coeff[:k])
         sf_lags = cfg.service.sf(lags)
         out = []
         for t, k, sums in zip(times, ks, started):
             tails = self.initial.server_tail(cfg.service, positive + t) + sums
             total = (float(self.initial.server_tail(cfg.service, t))
-                     + float(sf_lags[kmax - k :] @ coeff[:k]))
+                     + float(np.einsum("j,j->", sf_lags[kmax - k :], coeff[:k])))
             tails = np.concatenate((np.full(probes.size - positive.size, total), tails))
             tails = np.minimum.accumulate(np.minimum(np.maximum(tails, 0.0), total))
             out.append(MeasureProfiles(
@@ -496,7 +495,7 @@ def solve(cfg: FluidConfig, init: InitialCondition | ValidatedInitial | None = N
         sf = patience.sf(w)
         previous = None
         for _ in range(m + 1):   # row r's base is final after r + 1 sweeps
-            base = far + ge_near @ sf + g_near @ fd
+            base = far + np.einsum("ij,j->i", ge_near, sf) + np.einsum("ij,j->i", g_near, fd)
             queued = 1.0 - base - b * sf0 < 0.0
             w[~queued], fd[~queued], sf[~queued] = 0.0, 0.0, sf0
             iterations += _newton(patience, a, b, base, w, fd, sf, np.flatnonzero(queued))

@@ -136,7 +136,6 @@ def _convergence_trend(service, seed):
             interarrival=Exponential(n * lam),
             patience=Exponential(alpha),
             service=service,
-            horizon=10.0,
             snapshot_times=snapshot_times,
             seed=seed,
         )
@@ -166,13 +165,13 @@ def test_criterion_5_simulation_convergence():
 
 def test_criterion_6_hand_simulated_traces():
     cfg1 = SimConfig(1, Deterministic(1.0), Deterministic(10.0), Deterministic(0.5),
-                     horizon=1.6, snapshot_times=(1.2, 1.6))
+                     snapshot_times=(1.2, 1.6))
     s12, s16 = run(cfg1)
     trace1 = (s12.busy_servers == 1 and s12.queue_size == 0 and s12.virtual_size == 0
               and s16.busy_servers == 0)
 
     cfg2 = SimConfig(1, Deterministic(1.0), Deterministic(0.5), Deterministic(1.0),
-                     horizon=2.05, snapshot_times=(1.8, 2.05))
+                     snapshot_times=(1.8, 2.05))
     s18, s205 = run(cfg2, arrival_times=[1.0, 1.2])
     trace2 = (s18.queue_size == 0 and s18.virtual_size == 1 and s18.busy_servers == 1
               and s205.virtual_size == 0 and s205.abandoned == 1 and s205.completed == 1)

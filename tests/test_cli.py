@@ -843,10 +843,35 @@ def test_compare_summary_rows_keep_the_per_cell_bytes(tmp_path):
     assert report == _old_csv(header.split(","), rows)
 
 
+def test_fluid_solve_bytes_do_not_depend_on_the_blas_kernel_or_thread_count(tmp_path):
+    # every sum of the march and the profiles is an einsum; with BLAS products this run's
+    # trajectory and profile moved under the Sandybridge kernel, its profile on one thread
+    doc = {"mode": "fluid-solve", "arrival_rate": 1.5,
+           "patience": {"family": "lognormal", "mean": 1.0, "cv": 1.0},
+           "service": {"family": "hyperexponential", "weights": [0.4, 0.6], "rates": [0.5, 2.0]},
+           "horizon": 17.0, "dt": 1e-3, "probes": {"lo": -3.0, "hi": 6.0, "count": 17},
+           "profile_times": [17.0]}
+    path = _write_config(tmp_path, doc)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("OPENBLAS_") and k not in ("OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    outputs = {}
+    for name, setting in {"default": {}, "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+                          "one-thread": {"OPENBLAS_NUM_THREADS": "1"}}.items():
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "fluidq.cli", "--config", path, "--out", str(out)],
+                       env={**env, **setting}, check=True)
+        outputs[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(outputs["default"]) == ["profiles_t17.csv", "trajectory.csv"]
+    assert outputs["sandybridge"] == outputs["default"]
+    assert outputs["one-thread"] == outputs["default"]
+
+
 def test_compare_report_bytes_are_pinned(tmp_path):
     # pinned bytes: a change in the order of any mean or maximum over replications or
-    # times moves a last digit here.  Recorded with numpy 2.4 on x86-64; another numpy,
-    # BLAS or host can move a last bit of the profiles and so this digest.
+    # times moves a last digit here.  Recorded with numpy 2.4 on x86-64; another numpy
+    # or CPU can move a last bit of the profiles and so this digest.
     hyp = {"family": "hyperexponential", "weights": [0.4, 0.6], "rates": [0.5, 2.0]}
     doc = {"mode": "compare", "arrival_rate": 1.5, "patience": hyp,
            "service": {"family": "lognormal", "mean": 1.0, "cv": 1.0},
@@ -857,4 +882,4 @@ def test_compare_report_bytes_are_pinned(tmp_path):
     report = (tmp_path / "compare_report.csv").read_bytes()
     assert len(report.splitlines()) == 1 + 2 * 4 + 2
     assert hashlib.sha256(report).hexdigest() == (
-        "7509e4a65f83159857e4e338dd140d2daf747801b87952054b91f2878a1d8406")
+        "232135db3a461912e78db640349f945f74b7ee20876542e52fc0995c89a90803")

@@ -69,3 +69,12 @@ def test_cross_check_from_equilibrium_is_stationary():
     result = cross_check(ExpOdeConfig(1.0, 2.0, 2.0, x0=1.5, horizon=5.0, dt=1e-3))
     assert result.sup_diff <= 1e-3
     assert float(np.max(np.abs(result.ode - 1.5))) <= 1e-10
+
+
+@pytest.mark.parametrize("horizon,dt,match", [(1.0, 0.0, "dt must be positive"),
+                                              (1.0, -1e-3, "dt must be positive"),
+                                              (1.05, 0.1, "not on the grid")],
+                         ids=["dt=0", "dt<0", "off-grid horizon"])
+def test_integrate_takes_the_solvers_grid_rule(horizon, dt, match):
+    with pytest.raises(ValueError, match=match):
+        integrate(ExpOdeConfig(1.0, 1.0, 1.5, horizon=horizon, dt=dt))

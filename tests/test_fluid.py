@@ -443,9 +443,11 @@ def _one_matrix_server_tails(sol, t, probes):
     mids = 0.5 * (sol.times[:k] + sol.times[1 : k + 1])
     waits = 0.5 * (sol.virtual[:k] + sol.virtual[1 : k + 1]) / cfg.arrival_rate
     coeff = cfg.patience.sf(waits) * np.diff(sol.scheduled[: k + 1])
-    total = sol.initial.server_tail(cfg.service, t) + cfg.service.sf(t - mids) @ coeff
+    total = (sol.initial.server_tail(cfg.service, t)
+             + np.einsum("j,j->", cfg.service.sf(t - mids), coeff))
     tails = (sol.initial.server_tail(cfg.service, np.maximum(probes, 0.0) + t)
-             + cfg.service.sf(np.maximum(probes, 0.0)[:, None] + (t - mids)) @ coeff)
+             + np.einsum("ij,j->i", cfg.service.sf(np.maximum(probes, 0.0)[:, None] + (t - mids)),
+                         coeff))
     tails = np.where(probes <= 0.0, total, np.clip(tails, 0.0, total))
     return np.minimum.accumulate(tails)
 
@@ -485,11 +487,23 @@ def test_measures_at_row_blocks_match_one_matrix(monkeypatch):
     sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
     probes = np.linspace(-1.0, 3.0, 41)  # 30 positive probes
     reference = _one_matrix_server_tails(sol, 2.0, probes)
-    monkeypatch.setattr(fluid, "_PROFILE_CELLS", 1)  # the smallest blocks: 8 rows
+    monkeypatch.setattr(fluid, "_PROFILE_CELLS", 1)  # the smallest blocks: 1 row
     shapes = _record_sf_matrices(monkeypatch, LogNormal)
     server = sol.measures_at(2.0, probes).server
-    assert shapes == [(8, 2000), (8, 2000), (8, 2000), (6, 2000)]
+    assert shapes == [(1, 2000)] * 30
     assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
+
+
+@pytest.mark.parametrize("rows", [1, 7, 29])
+def test_profiles_bytes_do_not_depend_on_the_block_row_count(rows, monkeypatch):
+    # each tail is one einsum over its own row, so the rows beside it change no bit
+    sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
+    probes = np.linspace(-1.0, 3.0, 41)  # 30 positive probes, one block by default
+    default = sol.profiles([1.0, 2.0], probes)
+    monkeypatch.setattr(fluid, "_PROFILE_CELLS", rows * 2000)
+    for one, other in zip(default, sol.profiles([1.0, 2.0], probes)):
+        assert np.array_equal(one.server.tails, other.server.tails)
+        assert one.server.total == other.server.total
 
 
 @pytest.mark.parametrize("probes", [np.linspace(-2.0, 0.0, 9), np.linspace(0.25, 2.0, 8),

@@ -21,14 +21,12 @@ from fluidq.simulator import (
 )
 
 
-def _mmnm_config(n, lam=1.2, mu=1.0, alpha=1.0, horizon=10.0, snapshots=(5.0, 10.0),
-                 seed=99, initial=None):
+def _mmnm_config(n, lam=1.2, mu=1.0, alpha=1.0, snapshots=(5.0, 10.0), seed=99, initial=None):
     return SimConfig(
         num_servers=n,
         interarrival=Exponential(n * lam),
         patience=Exponential(alpha),
         service=Exponential(mu),
-        horizon=horizon,
         snapshot_times=snapshots,
         seed=seed,
         initial=initial,
@@ -43,7 +41,6 @@ def test_hand_trace_busy_then_idle():
         interarrival=Deterministic(1.0),   # arrivals at 1, 2, 3, ...
         patience=Deterministic(10.0),
         service=Deterministic(0.5),
-        horizon=1.6,
         snapshot_times=(1.2, 1.6),
     )
     first, second = run(cfg)
@@ -58,7 +55,6 @@ def test_hand_trace_virtual_buffer_abandonment():
         interarrival=Deterministic(1.0),  # unused: explicit schedule below
         patience=Deterministic(0.5),
         service=Deterministic(1.0),
-        horizon=2.05,
         snapshot_times=(1.8, 2.05),
     )
     at_18, at_205 = run(cfg, arrival_times=[1.0, 1.2])
@@ -79,10 +75,9 @@ def test_hand_trace_virtual_buffer_abandonment():
 def test_empty_system_stays_empty():
     cfg = SimConfig(
         num_servers=2,
-        interarrival=Deterministic(50.0),  # first arrival beyond the horizon
+        interarrival=Deterministic(50.0),  # first arrival after the last snapshot
         patience=Exponential(1.0),
         service=Exponential(1.0),
-        horizon=10.0,
         snapshot_times=(2.0, 10.0),
     )
     for snap in run(cfg):
@@ -111,7 +106,7 @@ def test_waiting_customers_leave_no_server_idle_from_a_nearly_full_start():
     fc = FluidConfig(arrival_rate=1.5, patience=Exponential(1.0), service=Exponential(1.0))
     init = validate_initial(fc, InitialCondition(0.5, EquilibriumShaped(1.0 - 5e-10)))
     n = 200
-    cfg = _mmnm_config(n, lam=1.5, horizon=2.0, snapshots=np.arange(9) * 0.25, initial=init)
+    cfg = _mmnm_config(n, lam=1.5, snapshots=np.arange(9) * 0.25, initial=init)
     snaps = run(cfg)
     assert snaps[0].initial_virtual == 100 and snaps[0].initial_busy == n - 1
     for snap in snaps:
@@ -136,7 +131,7 @@ def test_completion_heap_holds_exactly_the_busy_servers():
     patience, service = HyperExponential((0.4, 0.6), (0.5, 2.0)), LogNormal.from_mean_cv(1.0, 1.0)
     _, init = _equilibrium_start(1.5, patience, service)
     n = 40
-    cfg = SimConfig(n, Exponential(n * 1.5), patience, service, horizon=3.0,
+    cfg = SimConfig(n, Exponential(n * 1.5), patience, service,
                     snapshot_times=tuple(np.arange(13) * 0.25), seed=8, initial=init)
     done0, _, _, _, service, leave, served = _customers(cfg, 0)
     starts = np.concatenate((np.zeros(done0.size), leave[served]))
@@ -199,20 +194,20 @@ def _slice_cases():
     times = tuple(np.arange(17) * 0.25)
     yield "empty", _mmnm_config(5, lam=1.6, snapshots=tuple(np.arange(21) * 0.5)), None
     yield "equilibrium-hyperexp", SimConfig(
-        40, Exponential(40 * lam), hyper, lognormal, horizon=4.0, snapshot_times=times,
+        40, Exponential(40 * lam), hyper, lognormal, snapshot_times=times,
         seed=8, initial=_equilibrium_start(lam, hyper, lognormal)[1]), None
     yield "r0-service-complement", SimConfig(
-        60, Exponential(60 * lam), Exponential(1.0), lognormal, horizon=4.0,
+        60, Exponential(60 * lam), Exponential(1.0), lognormal,
         snapshot_times=times, seed=2, initial=complement), None
     # repeated times, times equal to snapshot times, and -0.0, which Python's max keeps
     # as the leaving time where np.maximum gives 0.0
     schedule = [-0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.25, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.5]
     yield "schedule", SimConfig(
-        2, Exponential(1.0), Deterministic(0.75), Deterministic(1.0), horizon=4.0,
+        2, Exponential(1.0), Deterministic(0.75), Deterministic(1.0),
         snapshot_times=(0.0, 0.5, 1.0, 1.25, 2.0, 2.75, 3.0, 4.0), seed=3), schedule
     # deterministic arrivals and service: departures and starts land on snapshot times
     yield "deterministic-service", SimConfig(
-        3, Deterministic(0.25), Exponential(1.0), Deterministic(1.0), horizon=8.0,
+        3, Deterministic(0.25), Exponential(1.0), Deterministic(1.0),
         snapshot_times=tuple(np.arange(33) * 0.25), seed=6), None
 
 
@@ -268,7 +263,7 @@ def test_fluid_scale_examples():
     assert scaled.server_measure.total == pytest.approx(snap.server_measure.total / 100.0)
 
     zero = run(SimConfig(1, Deterministic(99.0), Exponential(1.0), Exponential(1.0),
-                         horizon=1.0, snapshot_times=(1.0,)))[0]
+                         snapshot_times=(1.0,)))[0]
     zs = fluid_scale(zero, 1)
     assert zs.system_size == 0.0 and zs.buffer_measure.total == 0.0
 
@@ -297,11 +292,11 @@ def test_seeded_completions_are_positive_quantiles_of_the_exact_law():
     service = LogNormal.from_mean_cv(1.0, 1.0)
     _, init = _equilibrium_start(1.5, Exponential(1.0), service)
     n = 400
-    cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), service, horizon=1.0,
+    cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), service,
                     snapshot_times=(1.0,), initial=init)
     done = np.sort(_customers(cfg, 0)[0])
     assert done.size == n and done[0] > 0.0
-    assert done[-1] > cfg.horizon  # not clamped to a probe range
+    assert done[-1] > 1.0  # not clamped to a probe range
     np.testing.assert_allclose(service.equilibrium_cdf(done), (np.arange(n) + 0.5) / n,
                                rtol=0.0, atol=1e-12)
 
@@ -333,7 +328,7 @@ def test_tabulated_profile_with_mass_past_its_grid_seeds_at_the_grid_end():
 @pytest.mark.parametrize("n", [400, 1600])
 def test_equilibrium_start_keeps_the_scaled_queue_at_its_fluid_value(n):
     state, init = _equilibrium_start(1.5, Exponential(1.0), Exponential(1.0))
-    cfg = _mmnm_config(n, lam=1.5, horizon=2.0, snapshots=np.arange(9) * 0.25, initial=init)
+    cfg = _mmnm_config(n, lam=1.5, snapshots=np.arange(9) * 0.25, initial=init)
     queue = [[fluid_scale(s, n).queue_size for s in run(cfg, i)] for i in range(8)]
     gap = np.abs(np.mean(queue, axis=0) - state.queue_mass)
     assert float(np.max(gap)) <= 0.05, gap
@@ -358,7 +353,7 @@ def test_stream_is_pinned_for_an_equilibrium_start():
     # per arrival, moves a count or a last bit here
     patience, service = HyperExponential((0.4, 0.6), (0.5, 2.0)), LogNormal.from_mean_cv(1.0, 1.0)
     _, init = _equilibrium_start(1.5, patience, service)
-    cfg = SimConfig(30, Exponential(30 * 1.5), patience, service, horizon=3.0,
+    cfg = SimConfig(30, Exponential(30 * 1.5), patience, service,
                     snapshot_times=(0.0, 1.0, 3.0), seed=17, initial=init)
     assert [_pins(run(cfg, i)) for i in range(2)] == [
         [((10, 13, 30, 3, 0, 0), "0x1.53488149e776dp+2", "0x1.d1b4cb7d6d5bbp+4"),
@@ -374,7 +369,7 @@ def test_stream_is_pinned_across_draw_blocks():
     # ~3000 arrivals per replication: arrival times carry over a 2048-row block boundary
     n = 400
     cfg = SimConfig(n, Exponential(n * 1.5), Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0),
-                    horizon=5.0, snapshot_times=(1.0, 3.0, 5.0), seed=23)
+                    snapshot_times=(1.0, 3.0, 5.0), seed=23)
     assert [_pins(run(cfg, i)) for i in range(2)] == [
         [((4, 4, 400, 0, 185, 589), "0x1.c5a9c82cff048p+1", "0x1.4b20b44836cb8p+8"),
          ((198, 235, 400, 197, 1009, 1804), "0x1.b5f81a239f19fp+7", "0x1.6634ab6474418p+8"),
@@ -389,14 +384,13 @@ def test_equilibrium_start_seeds_the_exact_buffer_count():
     # n R_inf = 30 in exact arithmetic; a root one float low seeded 29
     _, init = _equilibrium_start(1.5, Uniform(0.0, 2.0), Exponential(1.0))
     cfg = SimConfig(30, Exponential(30 * 1.5), Uniform(0.0, 2.0), Exponential(1.0),
-                    horizon=1.0, snapshot_times=(0.0,), initial=init)
+                    snapshot_times=(0.0,), initial=init)
     assert run(cfg)[0].initial_virtual == 30
 
 
 def test_stream_is_pinned_for_an_arrival_schedule():
     patience, service = HyperExponential((0.4, 0.6), (0.5, 2.0)), LogNormal.from_mean_cv(1.0, 1.0)
-    cfg = SimConfig(3, Exponential(1.0), patience, service, horizon=6.0,
-                    snapshot_times=(2.0, 6.0), seed=5)
+    cfg = SimConfig(3, Exponential(1.0), patience, service, snapshot_times=(2.0, 6.0), seed=5)
     assert _pins(run(cfg, arrival_times=np.linspace(0.05, 5.9, 40))) == [
         ((5, 5, 3, 1, 5, 14), "0x1.ec36d6d80d70ep+1", "0x1.c976fe3f14c23p+1"),
         ((1, 1, 3, 15, 21, 40), "0x1.9942dbd5828a0p+0", "0x1.2d7c85bb16411p+2"),
@@ -412,15 +406,23 @@ def _snapshot_values(snap):
 
 def test_negative_schedule_times_are_rejected():
     # the servers are free from 0, so a customer arrived before 0 has no server to take it
-    cfg = SimConfig(1, Deterministic(1.0), Deterministic(0.5), Deterministic(1.0), horizon=2.0,
+    cfg = SimConfig(1, Deterministic(1.0), Deterministic(0.5), Deterministic(1.0),
                     snapshot_times=(0.0, 2.0))
     with pytest.raises(ValueError, match="nonnegative"):
         run(cfg, arrival_times=[-1.0, 0.2])
     assert run(cfg, arrival_times=[0.0, 0.2])[-1].completed == 1
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -0.5])
+def test_snapshot_times_must_be_finite_and_nonnegative(t):
+    # the run ends at the last snapshot time: at inf the renewal stream would never end
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SimConfig(1, Exponential(1.0), Exponential(1.0), Exponential(1.0),
+                  snapshot_times=(0.0, t))
+
+
 def test_arrival_schedule_is_taken_in_time_order():
-    cfg = SimConfig(3, Exponential(1.0), Exponential(1.0), Exponential(0.8), horizon=6.0,
+    cfg = SimConfig(3, Exponential(1.0), Exponential(1.0), Exponential(0.8),
                     snapshot_times=(1.0, 2.5, 6.0), seed=11)
     schedule = np.concatenate((np.linspace(0.05, 5.9, 40), [1.7, 1.7, 3.0]))
     shuffled = np.random.default_rng(4).permutation(schedule)
@@ -438,7 +440,7 @@ def test_compare_to_fluid_deterministic_rows():
                      horizon=4.0, dt=1e-3)
     sol = solve(fc)
     probes = np.linspace(-4.0, 4.0, 65)
-    cfg = _mmnm_config(10, snapshots=(2.0, 4.0), horizon=4.0)
+    cfg = _mmnm_config(10, snapshots=(2.0, 4.0))
     scaled = [[fluid_scale(s, 10) for s in run(cfg, i)] for i in range(2)]
     profiles = sol.profiles([2.0, 4.0], probes)
     c1 = np.array([compare_to_fluid(rep, sol, profiles) for rep in scaled])
@@ -458,7 +460,7 @@ def test_compare_to_fluid_rejects_off_grid_snapshots():
     fc = FluidConfig(arrival_rate=1.0, patience=Exponential(1.0), service=Exponential(1.0),
                      horizon=4.0, dt=1e-3)
     sol = solve(fc)
-    cfg = _mmnm_config(5, snapshots=(1.00037,), horizon=4.0)
+    cfg = _mmnm_config(5, snapshots=(1.00037,))
     scaled = [fluid_scale(s, 5) for s in run(cfg)]
     probes = np.linspace(-1.0, 1.0, 9)
     with pytest.raises(ValueError, match="grid"):
@@ -471,7 +473,7 @@ def test_compare_handles_atomic_distributions():
                      horizon=4.0, dt=1e-3)
     sol = solve(fc)
     cfg = SimConfig(1, Deterministic(1.0), Deterministic(10.0), Deterministic(0.5),
-                    horizon=4.0, snapshot_times=(2.0, 4.0))
+                    snapshot_times=(2.0, 4.0))
     scaled = [fluid_scale(s, 1) for s in run(cfg)]
     probes = np.linspace(-4.0, 4.0, 65)
     gaps = compare_to_fluid(scaled, sol, sol.profiles([2.0, 4.0], probes))
