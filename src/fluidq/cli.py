@@ -5,13 +5,15 @@ fields for sweep scripting.  MODE_KEYS is the one table of each mode's keys:
 it gives each key its default, or marks it required.  parse_config is the one
 check phase: it returns every input built and typed, so the mode runners only
 compute and write, and out is made with the first file.  simulate and compare
-run their replications in forked processes, one per CPU this process may use,
-and write the same bytes as in process.  compare starts them before its fluid
-solve: a worker returns its replication read on the probe grid, and the parent,
-once it has solved, takes the gaps.  Exit codes: 0 success, 1 solver
-invariant violation, 2 missing config file, 3 malformed JSON, 4 unknown key,
-5 invalid input (mode/field mismatch, bad values, distributions or initial
-states, or a fluid step that does not converge), 6 a replication process died.
+run their replications in processes forked with os.fork, one per CPU this
+process may use, each with a fixed share of the tasks and one pipe that carries
+all its results after its last task; they write the same bytes as in process.
+compare forks before its fluid solve: a worker returns its replications read on
+the probe grid, and the parent, once it has solved, takes the gaps.  Exit codes:
+0 success, 1 solver invariant violation, 2 missing config file, 3 malformed
+JSON, 4 unknown key, 5 invalid input (mode/field mismatch, bad values,
+distributions or initial states, or a fluid step that does not converge), 6 a
+replication process died.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import json
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -307,44 +310,86 @@ def _sim_tasks(cfg: dict) -> list:
     return tasks
 
 
-_WORK = None   # (fn, tasks) in a forked worker, inherited from its parent, never pickled
+def _serve(fn, share: list, cancel, reads: list, write: int):
+    """A forked worker's whole life: it closes the pipe read ends it inherited, runs
+    fn(*task) for each task of its share, each started only while cancel[0] is 0, writes
+    one pickle of (True, results) or (False, the exception) to write, and leaves through
+    os._exit, so it never returns into the caller's stack."""
+    code = 1
+    try:
+        for fd in reads:   # else a write after the parent closed its end would wait forever
+            os.close(fd)
+        try:
+            message = True, [fn(*task) for task in share if not cancel[0]]
+        except Exception as exc:
+            message = False, exc
+        with open(write, "wb") as fh:
+            pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _adopt(fn, tasks: list) -> None:
-    global _WORK
-    _WORK = fn, tasks
-
-
-def _work(k: int):
-    fn, tasks = _WORK
-    return fn(*tasks[k])
+def _receive(read: int) -> list:
+    """The results a worker sent to its pipe's read end; a worker's exception is raised."""
+    try:
+        with open(read, "rb", closefd=False) as fh:
+            ok, value = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise WorkerDied("a replication process died before it returned its result; "
+                         "no output was written") from exc
+    if not ok:
+        raise value
+    return value
 
 
 @contextlib.contextmanager
 def _map(fn, tasks: list):
-    """Yields fn(*task) for each task, in task order, as an iterator: from min(CPUs, tasks)
-    forked processes, started on entry, when both are two or more; in process as it is read
-    otherwise, and where the platform reports no CPU affinity (macOS, Windows).  Workers
-    inherit fn and tasks; only each task's index and result are pickled.  The caller works
-    while they run and reads the results within the block; an error there cancels the tasks
-    not yet started, and leaving the block waits for the running ones."""
+    """Yields fn(*task) for each task, in task order, as an iterator: from W = min(CPUs,
+    tasks) processes forked on entry, when both are two or more; in process as it is read
+    otherwise, and where the platform reports no CPU affinity (macOS, Windows).
+
+    Worker w inherits fn and tasks, so neither is pickled, and runs tasks w, w + W,
+    w + 2W, ...  Only after its last task does it send its results, one pickle down its
+    own pipe, so no worker waits on a full pipe while the caller works in the block.  The
+    first read takes the pipes in worker order: a worker that died raises WorkerDied, a
+    worker's exception is raised again.  An error in the block tells every worker to
+    start no further task and waits for the running ones.  Every child is reaped and
+    every pipe closed on each way out."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))
     if workers < 2:
         yield (fn(*task) for task in tasks)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import mmap
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (fn, tasks))
+    cancel = mmap.mmap(-1, 1)   # one byte shared with the workers: nonzero cancels
+    reads, pids = [], []
     try:
-        yield pool.map(_work, range(len(tasks)))
-    except BrokenProcessPool as exc:
-        raise WorkerDied("a replication process died before it returned its result; "
-                         "no output was written") from exc
+        for w in range(workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, tasks[w::workers], cancel, reads, write)
+                pids.append(pid)
+            finally:
+                os.close(write)
+
+        def results():
+            shares = [_receive(read) for read in reads]
+            for k in range(len(tasks)):
+                yield shares[k % workers][k // workers]
+
+        yield results()
     finally:
-        pool.shutdown(cancel_futures=True)
+        cancel[0] = 1
+        for read in reads:   # a worker still writing then fails and exits
+            os.close(read)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        cancel.close()
 
 
 def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> np.ndarray:

@@ -242,7 +242,7 @@ def gaps_to_fluid(readings: ProbeReadings, sol: FluidSolution,
     fluid = [[p.buffer for p in profiles], [p.server for p in profiles]]
     return np.concatenate((
         tail_gap(readings.tails, readings.totals,
-                 np.array([[m.tail_at(m.grid) for m in row] for row in fluid]),
+                 np.array([[m.tails for m in row] for row in fluid]),
                  np.array([[m.total for m in row] for row in fluid])),
         np.abs(readings.sizes - np.array([sol.queue[k], sol.busy[k]]))))
 

@@ -1,10 +1,10 @@
 import ast
-import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
-import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -369,11 +369,12 @@ def test_a_bad_law_exits_5_before_the_output_directory_is_made(case, tmp_path, c
     assert not out.exists()
 
 
-def _scipy_modules_after(code: str, *args: str) -> list:
-    """The scipy modules a fresh interpreter holds after it runs code with sys.argv[1:] = args."""
+def _modules_after(roots: tuple, code: str, *args: str) -> list:
+    """The modules under the top-level packages roots that a fresh interpreter holds after
+    it runs code with sys.argv[1:] = args."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+              f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return ast.literal_eval(done.stdout.splitlines()[-1])
@@ -389,13 +390,26 @@ def test_scipy_is_imported_only_where_a_lognormal_law_is_built(tmp_path):
             "for path in sys.argv[1:]:\n"
             "    if fluidq.cli.main(['--config', path, '--out', path + '.out']):\n"
             "        sys.exit(path)")
-    assert _scipy_modules_after(runs, *paths) == []
+    assert _modules_after(("scipy",), runs, *paths) == []
     lognormal = _write_config(tmp_path, {**_SOLVE, "patience": {
         "family": "lognormal", "mean": 1.0, "cv": 1.0}}, "logn.json")
-    assert "scipy.special" in _scipy_modules_after(
-        "import fluidq.cli; fluidq.cli.parse_config(sys.argv[1])", lognormal)
-    assert "scipy.special" in _scipy_modules_after(
-        "from fluidq import LogNormal; LogNormal.from_mean_cv(1, 1)")
+    assert "scipy.special" in _modules_after(
+        ("scipy",), "import fluidq.cli; fluidq.cli.parse_config(sys.argv[1])", lognormal)
+    assert "scipy.special" in _modules_after(
+        ("scipy",), "from fluidq import LogNormal; LogNormal.from_mean_cv(1, 1)")
+
+
+def test_a_forked_compare_loads_no_process_pool_module(tmp_path):
+    path = _write_config(tmp_path, {**_SIM, "mode": "compare", "n": [4, 8], "replications": 2})
+    run = ("import os, fluidq.cli\n"
+           "os.sched_getaffinity = lambda pid: {0, 1}\n"
+           "forks, fork = [], os.fork\n"
+           "os.fork = lambda: forks.append(0) or fork()\n"
+           "if fluidq.cli.main(['--config', sys.argv[1], '--out', sys.argv[1] + '.out']):\n"
+           "    sys.exit('compare failed')\n"
+           "if len(forks) != 2:\n"
+           "    sys.exit(f'{len(forks)} workers forked, not 2')")
+    assert _modules_after(("multiprocessing", "concurrent"), run, path) == []
 
 
 def test_an_arrival_law_of_mean_one_over_arrival_rate_runs(tmp_path):
@@ -525,32 +539,57 @@ def _cpus(monkeypatch, count):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The worker count of each process pool made, in order."""
-    sizes, pool = [], concurrent.futures.ProcessPoolExecutor
+def forks(monkeypatch):
+    """The pids of the worker processes each cli.main call forks, one list per call."""
+    runs, fork, main = [], os.fork, cli.main
 
-    def spy(max_workers, *args, **kwargs):
-        sizes.append(max_workers)
-        return pool(max_workers, *args, **kwargs)
+    def spy_fork():
+        pid = fork()
+        if pid:
+            runs[-1].append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    return sizes
+    def spy_main(argv=None):
+        runs.append([])
+        return main(argv)
+
+    monkeypatch.setattr(os, "fork", spy_fork)
+    monkeypatch.setattr(cli, "main", spy_main)
+    return runs
+
+
+def _running(pids: list) -> int:
+    """How many of the child processes pids have not exited; none is reaped."""
+    return sum(os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+               for pid in pids)
+
+
+@contextlib.contextmanager
+def _nothing_left():
+    """Checks that no child process, live or unreaped, and no new descriptor outlive the
+    block."""
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.mark.parametrize("mode", ["simulate", "compare"])
 def test_replications_write_the_same_bytes_in_process_and_forked(mode, tmp_path, monkeypatch,
-                                                                 pool_sizes):
+                                                                 forks):
     path = _write_config(tmp_path, {**_SEEDED, "mode": mode, "initial": "equilibrium"})
     outs = {}
-    for cpus in (1, 2, 8):   # 4 tasks: in process, 2 workers, 4 workers
+    # 4 tasks: in process; 2 workers; 3 workers, whose shares are 2, 1 and 1 tasks; 4 workers
+    for cpus in (1, 2, 3, 8):
         _cpus(monkeypatch, cpus)
         outs[cpus] = tmp_path / f"cpus{cpus}"
-        assert cli.main(["--config", path, "--out", str(outs[cpus])]) == cli.EXIT_OK
-        assert multiprocessing.active_children() == []
-    assert pool_sizes == [2, 4]
+        with _nothing_left():
+            assert cli.main(["--config", path, "--out", str(outs[cpus])]) == cli.EXIT_OK
+    assert [len(pids) for pids in forks] == [0, 2, 3, 4]
     names = sorted(p.name for p in outs[1].iterdir())
     assert len(names) == (4 if mode == "simulate" else 1)
-    for cpus in (2, 8):
+    for cpus in (2, 3, 8):
         assert sorted(p.name for p in outs[cpus].iterdir()) == names
         for name in names:
             assert (outs[cpus] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -560,16 +599,12 @@ def test_replications_write_the_same_bytes_in_process_and_forked(mode, tmp_path,
     ("simulate", 2, 4, 1), ("compare", 2, [4], 1), ("compare", 1, [4, 8], 2)],
     ids=["simulate one task", "compare one task", "compare one cpu"])
 def test_one_task_or_one_cpu_starts_no_process(mode, cpus, n, replications, tmp_path,
-                                               monkeypatch, pool_sizes):
-    def fork():
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(os, "fork", fork)
+                                               monkeypatch, forks):
     _cpus(monkeypatch, cpus)
     doc = {**_SIM, "mode": mode, "n": n, "replications": replications}
     assert cli.main(["--config", _write_config(tmp_path, doc),
                      "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-    assert pool_sizes == []
+    assert forks == [[]]
 
 
 @pytest.mark.parametrize("mode", ["simulate", "compare"])
@@ -591,10 +626,10 @@ def test_a_failed_replication_process_exits_with_its_code_and_one_line(
     _cpus(monkeypatch, 2)
     doc = {**_SIM, "mode": mode, "n": [4], "replications": 2}
     out = tmp_path / "out"
-    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
+    with _nothing_left():
+        assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
     assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
-    assert multiprocessing.active_children() == []
 
 
 def _recorded_slow_runs(monkeypatch, records):
@@ -621,41 +656,74 @@ def test_a_fluid_error_while_the_replications_run_cancels_them(error, code, tmp_
     records.mkdir()
     _recorded_slow_runs(monkeypatch, records)
 
-    def solve(*args, **kwargs):
+    def solve(*args, **kwargs):   # fails once a replication runs
+        while not any(records.iterdir()):
+            time.sleep(0.005)
         raise error
 
     monkeypatch.setattr(fluid, "solve", solve)
     _cpus(monkeypatch, 2)
     doc = {**_SIM, "mode": "compare", "n": [4, 8], "replications": 10}
     out = tmp_path / "out"
-    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
+    with _nothing_left():
+        assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
     assert capsys.readouterr().err.splitlines() == [
         str(error) if code == cli.EXIT_INVARIANT else f"error: {error}"]
     assert not out.exists()
-    assert multiprocessing.active_children() == []
-    # the 2 workers run their first tasks and the 3 queued for them, about 0.6 s; the
-    # other 15 of the 20 are cancelled, where waiting for all would take 2 s
-    assert 1 <= len(list(records.iterdir())) < 20
+    # each of the 2 workers finishes the replication it runs, 0.2 s, and starts no other
+    # of its 10, where waiting for all would take 2 s
+    assert 1 <= len(list(records.iterdir())) <= 2
 
 
-def test_compare_starts_its_replications_before_the_fluid_solve(tmp_path, monkeypatch):
+def test_compare_starts_its_replications_before_the_fluid_solve(tmp_path, monkeypatch, forks):
     records = tmp_path / "runs"
     records.mkdir()
     _recorded_slow_runs(monkeypatch, records)
     seen, real = [], fluid.solve
 
     def solve(*args, **kwargs):
-        seen.append(len(multiprocessing.active_children()))
+        seen.append(_running(forks[-1]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fluid, "solve", solve)
     _cpus(monkeypatch, 2)
     doc = {**_SIM, "mode": "compare", "n": [4, 8], "replications": 2}
-    assert cli.main(["--config", _write_config(tmp_path, doc),
-                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    with _nothing_left():
+        assert cli.main(["--config", _write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert seen == [2]
     assert len(list(records.iterdir())) == 4
-    assert multiprocessing.active_children() == []
+
+
+def test_every_replication_ends_before_the_slowed_solve_returns(tmp_path, monkeypatch):
+    # 2 replications a worker, each read on 512 probes at 10 snapshots: more than a 64 KiB
+    # pipe holds, so a worker that sent its first before its last would wait for the
+    # parent to read, after the solve
+    records = tmp_path / "ends"
+    records.mkdir()
+    read, real, solved = simulator.read_on_probes, fluid.solve, []
+
+    def recorded_read(snaps, probes):
+        readings = read(snaps, probes)
+        assert len(pickle.dumps(readings)) > 65536
+        (records / f"{time.monotonic()!r}-{os.getpid()}").touch()
+        return readings
+
+    def slow_solve(*args, **kwargs):
+        time.sleep(0.3)
+        sol = real(*args, **kwargs)
+        solved.append(time.monotonic())
+        return sol
+
+    monkeypatch.setattr(simulator, "read_on_probes", recorded_read)
+    monkeypatch.setattr(fluid, "solve", slow_solve)
+    _cpus(monkeypatch, 2)
+    doc = {**_SIM, "mode": "compare", "n": [4, 8], "replications": 2, "horizon": 10.0,
+           "dt": 0.01, "snapshot_times": [float(t) for t in range(1, 11)]}
+    assert cli.main(["--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    ends = [float(p.name.split("-")[0]) for p in records.iterdir()]
+    assert len(ends) == 4 and max(ends) < solved[0]
 
 
 def test_equilibrium_string_and_dict_forms_give_identical_simulations(tmp_path):
