@@ -12,8 +12,9 @@ compare forks before its fluid solve: a worker returns its replications read on
 the probe grid, and the parent, once it has solved, takes the gaps.  Exit codes:
 0 success, 1 solver invariant violation, 2 missing config file, 3 malformed
 JSON, 4 unknown key, 5 invalid input (mode/field mismatch, bad values,
-distributions or initial states, or a fluid step that does not converge), 6 a
-replication process died.
+distributions, initial states or probes), 6 a replication process died or could
+not be started, 7 a fluid step or window of steps that does not converge, 8 an
+output directory or file that cannot be made or written, or another OSError.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ EXIT_MALFORMED = 3
 EXIT_UNKNOWN_KEY = 4
 EXIT_MODE_MISMATCH = 5
 EXIT_WORKER_DIED = 6
+EXIT_NO_CONVERGENCE = 7
+EXIT_OUTPUT = 8
 
 REQUIRED = object()  # a key the mode cannot run without
 OPTIONAL = object()  # a key with no default: its runner gives its absence a meaning
@@ -78,7 +81,16 @@ class ConfigError(Exception):
 
 
 class WorkerDied(RuntimeError):
-    """A replication process ended before it returned its result (killed, out of memory)."""
+    """A replication process ended before it returned its result (killed, out of memory),
+    or could not be started."""
+
+    exit_code = EXIT_WORKER_DIED
+
+
+class OutputError(RuntimeError):
+    """An output directory or file could not be made or written."""
+
+    exit_code = EXIT_OUTPUT
 
 
 def _number(value, what: str, least=None):
@@ -229,18 +241,29 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
             raise ConfigError(EXIT_MODE_MISMATCH,
                               f"profile_times entries {files[name]!r} and {t!r} both write {name}")
         files[name] = t
-    if "probes" in raw:
+    if "probes" in raw:   # fluid-solve and compare, which read the fluid model on them
         raw["probes"] = _probes(raw["probes"], raw["horizon"])
+        try:
+            _fluid_config(raw).probe_steps(raw["probes"])
+        except fluid.FluidModelError as exc:
+            raise ConfigError(EXIT_MODE_MISMATCH, str(exc)) from exc
     if "arrival" in raw and abs(raw["arrival"].mean * raw["arrival_rate"] - 1.0) > 1e-9:
         raise ConfigError(EXIT_MODE_MISMATCH, f"arrival mean {raw['arrival'].mean!r} is not "
                                               f"1/arrival_rate = {1.0 / raw['arrival_rate']!r}")
     return raw
 
 
+@contextlib.contextmanager
 def _create(out: str, name: str):
-    """out/name open for writing; out is made here, so a run that writes nothing leaves no out."""
-    os.makedirs(out, exist_ok=True)
-    return open(os.path.join(out, name), "w", encoding="utf-8", newline="")
+    """out/name open for writing; out is made here, so a run that writes nothing leaves no
+    out.  An OSError in making or writing either is raised as an OutputError."""
+    path = os.path.join(out, name)
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def _floats(cells: int) -> str:   # a line of cells floats, each %.17g: counts print as digits
@@ -363,19 +386,22 @@ def _map(fn, tasks: list):
         return
     import mmap
 
-    cancel = mmap.mmap(-1, 1)   # one byte shared with the workers: nonzero cancels
-    reads, pids = [], []
+    reads, pids, cancel = [], [], None
     try:
-        for w in range(workers):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(fn, tasks[w::workers], cancel, reads, write)
-                pids.append(pid)
-            finally:
-                os.close(write)
+        try:
+            cancel = mmap.mmap(-1, 1)   # one byte shared with the workers: nonzero cancels
+            for w in range(workers):
+                read, write = os.pipe()
+                reads.append(read)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(fn, tasks[w::workers], cancel, reads, write)
+                    pids.append(pid)
+                finally:
+                    os.close(write)
+        except OSError as exc:
+            raise WorkerDied(f"a replication process could not be started: {exc}") from exc
 
         def results():
             shares = [_receive(read) for read in reads]
@@ -384,12 +410,13 @@ def _map(fn, tasks: list):
 
         yield results()
     finally:
-        cancel[0] = 1
+        if cancel is not None:
+            cancel[0] = 1
+            cancel.close()   # the workers keep their own mappings
         for read in reads:   # a worker still writing then fails and exits
             os.close(read)
         for pid in pids:
             os.waitpid(pid, 0)
-        cancel.close()
 
 
 def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> np.ndarray:
@@ -484,12 +511,18 @@ def main(argv=None) -> int:
     except fluid.InvariantViolationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVARIANT
-    except WorkerDied as exc:
+    except (ConfigError, WorkerDied, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WORKER_DIED
-    except (ConfigError, ValueError, fluid.NoConvergenceError, OSError) as exc:
+        return exc.exit_code
+    except fluid.NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, ConfigError) else EXIT_MODE_MISMATCH
+        return EXIT_NO_CONVERGENCE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MODE_MISMATCH
+    except OSError as exc:   # e.g. stdout closed, or a replication's own system call refused
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -117,7 +118,12 @@ EXIT_CASES = {
                                cli.EXIT_MODE_MISMATCH),
     "horizon off the dt grid": ({**_SOLVE, "dt": 0.3}, cli.EXIT_MODE_MISMATCH),
     "queue without full servers": ({**_SOLVE, "initial": {"r0": 0.5}}, cli.EXIT_MODE_MISMATCH),
-    "fluid step never converges": ({**_SOLVE, "arrival_rate": 2.0}, cli.EXIT_MODE_MISMATCH),
+    "fluid step never converges": ({**_SOLVE, "arrival_rate": 2.0}, cli.EXIT_NO_CONVERGENCE),
+    "fluid step never converges in ode-check": ({"mode": "ode-check", "rho": 2.0, "alpha": 1.0,
+                                                 "mu": 1.0, "horizon": 1.0, "dt": 0.01},
+                                                cli.EXIT_NO_CONVERGENCE),
+    "fluid step never converges in compare": ({**_SIM, "mode": "compare", "arrival_rate": 2.0,
+                                               "n": [4]}, cli.EXIT_NO_CONVERGENCE),
     "tolerance is not a key": ({**_SOLVE, "arrival_rate": 2.0, "tolerance": 1e-10},
                                cli.EXIT_UNKNOWN_KEY),
     "dt not positive": ({**_SOLVE, "dt": 0.0}, cli.EXIT_MODE_MISMATCH),
@@ -235,6 +241,11 @@ EXIT_CASES = {
                                               cli.EXIT_MODE_MISMATCH),
     "probe grid beyond memory": ({**_SOLVE, "probes": {"count": 10 ** 15}},
                                  cli.EXIT_MODE_MISMATCH),
+    "probe 2**52 steps of dt out": ({**_SOLVE, "probes": {"lo": 0, "hi": 1e308, "count": 3}},
+                                    cli.EXIT_MODE_MISMATCH),
+    "probe 2**52 steps of dt out in compare": (
+        {**_SIM, "mode": "compare", "n": [4], "dt": 0.01, "probes": {"hi": 2.0**52 * 0.01}},
+        cli.EXIT_MODE_MISMATCH),
     "patience without density in compare": (
         {**_SIM, "mode": "compare", "n": [4, 4], "replications": 2,
          "patience": {"family": "deterministic", "value": 1.0}}, cli.EXIT_MODE_MISMATCH),
@@ -242,6 +253,8 @@ EXIT_CASES = {
 
 # the exact stderr line of some cases
 EXIT_MESSAGES = {
+    **{case: "error: no-convergence: inner Newton iteration exceeded its cap"
+       for case in EXIT_CASES if case.startswith("fluid step never converges")},
     "horizon below dt": "error: horizon must be at least dt",
     "ode-check start beyond the buffer's reach": (
         "error: invalid-init: virtual buffer mass must be finite; "
@@ -260,6 +273,8 @@ EXIT_MESSAGES = {
         "error: probe grid of 4 points from 0.0 to 5e-324 is not strictly increasing"),
     "probe grid beyond memory": (
         "error: probe grid of 1000000000000000 points does not fit in memory"),
+    **{case: "error: probes must lie below 2**52 steps of dt=0.01"
+       for case in ("probe 2**52 steps of dt out", "probe 2**52 steps of dt out in compare")},
     "patience without density in compare": (
         "error: invalid patience distribution: CDF is neither Lipschitz nor of bounded hazard"),
 }
@@ -275,6 +290,8 @@ _NOT_REACHED = {
     "profile time given twice": [(fluid, "solve")],
     "probe grid beyond the float range": [(fluid, "solve")],
     "probe grid below the float resolution": [(fluid, "solve")],
+    "probe 2**52 steps of dt out": [(fluid, "solve")],
+    "probe 2**52 steps of dt out in compare": [(fluid, "solve"), (simulator, "run")],
     "patience without density in compare": [(fluid, "solve"), (simulator, "run")],
 }
 
@@ -282,7 +299,7 @@ _NOT_REACHED = {
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
 def test_each_error_exits_with_its_code_and_one_line(case, tmp_path, capsys, monkeypatch):
     doc, expected = EXIT_CASES[case]
-    if case == "fluid step never converges":
+    if case.startswith("fluid step never converges"):
         monkeypatch.setattr(fluid, "_INNER_CAP", 1)   # one Newton step cannot reach a root
     path = tmp_path / "config.json"
     if doc is not None:
@@ -445,8 +462,9 @@ def test_a_grid_too_coarse_names_the_time_and_arrival_rate_dt(tmp_path, capsys):
                      "--out", str(tmp_path / "fine")]) == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("blocked", ["out under a file", "output file is a directory"])
-def test_unwritable_output_exits_5_with_one_line(blocked, tmp_path, capsys):
+@pytest.mark.parametrize("blocked", ["out under a file", "output file is a directory",
+                                     "disk full while writing"])
+def test_unwritable_output_exits_8_with_one_line(blocked, tmp_path, capsys, monkeypatch):
     path = _write_config(tmp_path, {"mode": "equilibrium", "arrival_rate": 1.2,
                                     "patience": EXP, "service": EXP})
     (tmp_path / "eq.json").write_text("")
@@ -454,9 +472,17 @@ def test_unwritable_output_exits_5_with_one_line(blocked, tmp_path, capsys):
     if blocked == "output file is a directory":
         out = tmp_path / "o"
         (out / "equilibrium.json").mkdir(parents=True)
-    assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_MODE_MISMATCH
+    if blocked == "disk full while writing":   # open succeeds, and the write fails
+        out = tmp_path / "o"
+
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(json, "dump", full)
+    assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_OUTPUT
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {out / 'equilibrium.json'}: ")
     assert "Traceback" not in err
 
 
@@ -608,19 +634,22 @@ def test_one_task_or_one_cpu_starts_no_process(mode, cpus, n, replications, tmp_
 
 
 @pytest.mark.parametrize("mode", ["simulate", "compare"])
-@pytest.mark.parametrize("dies,code,line", [
-    (True, cli.EXIT_WORKER_DIED, "error: a replication process died before it returned "
+@pytest.mark.parametrize("error,code,line", [
+    (None, cli.EXIT_WORKER_DIED, "error: a replication process died before it returned "
                                  "its result; no output was written"),
-    (False, cli.EXIT_MODE_MISMATCH, "error: bad replication")], ids=["dies", "raises"])
+    (ValueError("bad replication"), cli.EXIT_MODE_MISMATCH, "error: bad replication"),
+    (OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)), cli.EXIT_OUTPUT,
+     f"error: [Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}")],
+    ids=["dies", "raises", "raises OSError"])
 def test_a_failed_replication_process_exits_with_its_code_and_one_line(
-        mode, dies, code, line, tmp_path, monkeypatch, capsys):
+        mode, error, code, line, tmp_path, monkeypatch, capsys):
     parent = os.getpid()
 
     def run(*args, **kwargs):
         assert os.getpid() != parent, "a replication ran in process"
-        if dies:
+        if error is None:
             os._exit(1)
-        raise ValueError("bad replication")
+        raise error
 
     monkeypatch.setattr(simulator, "run", run)   # forked workers inherit the patch
     _cpus(monkeypatch, 2)
@@ -630,6 +659,58 @@ def test_a_failed_replication_process_exits_with_its_code_and_one_line(
         assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
     assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
+
+
+def test_a_replication_process_that_cannot_be_started_exits_6(tmp_path, monkeypatch, capsys):
+    fork, started = os.fork, []
+
+    def second_fails():   # the first worker starts, the system refuses the second
+        if started:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        started.append(fork())
+        return started[-1]
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    _cpus(monkeypatch, 2)
+    doc = {**_SIM, "mode": "compare", "n": [4], "replications": 2}
+    out = tmp_path / "out"
+    with _nothing_left():
+        assert cli.main(["--config", _write_config(tmp_path, doc),
+                         "--out", str(out)]) == cli.EXIT_WORKER_DIED
+    assert capsys.readouterr().err == (
+        f"error: a replication process could not be started: [Errno {errno.EAGAIN}] "
+        f"{os.strerror(errno.EAGAIN)}\n")
+    assert not out.exists()
+
+
+def test_a_shared_cancel_byte_that_cannot_be_mapped_exits_6(tmp_path, monkeypatch, capsys):
+    import mmap
+
+    def refused(*args, **kwargs):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(mmap, "mmap", refused)
+    _cpus(monkeypatch, 2)
+    doc = {**_SIM, "mode": "compare", "n": [4], "replications": 2}
+    out = tmp_path / "out"
+    with _nothing_left():
+        assert cli.main(["--config", _write_config(tmp_path, doc),
+                         "--out", str(out)]) == cli.EXIT_WORKER_DIED
+    assert capsys.readouterr().err == (
+        f"error: a replication process could not be started: [Errno {errno.ENOMEM}] "
+        f"{os.strerror(errno.ENOMEM)}\n")
+    assert not out.exists()
+
+
+def test_probes_far_beyond_the_horizon_solve_in_bounded_memory(tmp_path):
+    # hi = 1e6 is 1e8 steps of dt: one FFT over the whole grid would take 2**27 floats
+    # (1 GiB an array); each probe's tile takes 256
+    doc = {**_SOLVE, "profile_times": [1.0], "probes": {"lo": -1.0, "hi": 1e6, "count": 3}}
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_OK
+    rows = np.loadtxt(out / "profiles_t1.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == [-1.0, 499999.5, 1e6]
+    assert rows[0, 2] > 0.0 and rows[1:, 2].tolist() == [0.0, 0.0]   # sf(5e5) underflows
 
 
 def _recorded_slow_runs(monkeypatch, records):
@@ -649,7 +730,7 @@ def _recorded_slow_runs(monkeypatch, records):
     (fluid.InvariantViolationError("invariant-violated: Q > 0 with Z < 1 at t=0.5"),
      cli.EXIT_INVARIANT),
     (fluid.NoConvergenceError("no-convergence: inner Newton iteration exceeded its cap"),
-     cli.EXIT_MODE_MISMATCH)], ids=["invariant", "no convergence"])
+     cli.EXIT_NO_CONVERGENCE)], ids=["invariant", "no convergence"])
 def test_a_fluid_error_while_the_replications_run_cancels_them(error, code, tmp_path,
                                                                monkeypatch, capsys):
     records = tmp_path / "runs"
@@ -950,4 +1031,4 @@ def test_compare_report_bytes_are_pinned(tmp_path):
     report = (tmp_path / "compare_report.csv").read_bytes()
     assert len(report.splitlines()) == 1 + 2 * 4 + 2
     assert hashlib.sha256(report).hexdigest() == (
-        "232135db3a461912e78db640349f945f74b7ee20876542e52fc0995c89a90803")
+        "212518745ddc8772d25d049018d0656ed7849243822d7cfe995eb3a28e317d05")

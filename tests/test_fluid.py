@@ -438,7 +438,7 @@ def test_measures_at_buffer_against_quadrature_oracle():
 
 
 def _one_matrix_server_tails(sol, t, probes):
-    """Server tails at t from one service.sf matrix over every probe."""
+    """Server tails at t as the direct sum: one service.sf matrix over every probe and lag."""
     cfg, k = sol.config, sol.grid_index(t)
     mids = 0.5 * (sol.times[:k] + sol.times[1 : k + 1])
     waits = 0.5 * (sol.virtual[:k] + sol.virtual[1 : k + 1]) / cfg.arrival_rate
@@ -452,24 +452,28 @@ def _one_matrix_server_tails(sol, t, probes):
     return np.minimum.accumulate(tails)
 
 
-def _record_sf_matrices(monkeypatch, law):
-    """Shapes of the 2-d arrays passed to law.sf from now on."""
-    shapes, sf = [], law.sf
+def _record_sf_sizes(monkeypatch, law):
+    """Sizes of the arrays passed to law.sf from now on."""
+    sizes, sf = [], law.sf
 
     def recording_sf(self, x, out=None):
-        if np.ndim(x) == 2:
-            shapes.append(np.shape(x))
+        if np.ndim(x):
+            sizes.append(np.size(x))
         return sf(self, x, out=out)
 
     monkeypatch.setattr(law, "sf", recording_sf)
-    return shapes
+    return sizes
+
+
+def _gap_to_the_direct_sum(sol, t, probes, profiles):
+    return float(np.max(np.abs(profiles.server.tails - _one_matrix_server_tails(sol, t, probes))))
 
 
 @pytest.mark.parametrize("service", [Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0)],
                          ids=["exp", "lognormal"])
 def test_measures_at_memory_does_not_grow_with_the_horizon(service):
-    # one reused 2 MiB block of service.sf plus a few vectors of the 30,000 lags: 2.8 MB
-    # at H=30; a fresh block and its temporaries for each row block take 15-23 MB
+    # a tile's arrays hold O(k) floats, here one tile of N = 2**16 cells: 2.1 MB at H=30;
+    # the peak grows linearly in the horizon, so this bound holds at H=30 only
     sol = solve(_cfg(1.5, Exponential(1.0), service, horizon=30.0))
     probes = np.linspace(-30.0, 30.0, 512)
     for build in (lambda: sol.measures_at(30.0, probes),
@@ -483,27 +487,25 @@ def test_measures_at_memory_does_not_grow_with_the_horizon(service):
         assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
-def test_measures_at_row_blocks_match_one_matrix(monkeypatch):
+def test_measures_at_matches_the_direct_sum_off_the_grid():
+    sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
+    probes = np.linspace(-1.0, 3.0, 38)  # steps of 4/37: no probe > 0 on the dt grid
+    assert _gap_to_the_direct_sum(sol, 2.0, probes, sol.measures_at(2.0, probes)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 29])
+def test_profiles_do_not_depend_on_the_other_probes(chunk):
+    # a probe's tail read with the others, or in chunks of a few: the tiles follow the
+    # probes, so the bits may move, but never beyond the direct sum's 1e-12
     sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
     probes = np.linspace(-1.0, 3.0, 41)  # 30 positive probes
-    reference = _one_matrix_server_tails(sol, 2.0, probes)
-    monkeypatch.setattr(fluid, "_PROFILE_CELLS", 1)  # the smallest blocks: 1 row
-    shapes = _record_sf_matrices(monkeypatch, LogNormal)
-    server = sol.measures_at(2.0, probes).server
-    assert shapes == [(1, 2000)] * 30
-    assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
-
-
-@pytest.mark.parametrize("rows", [1, 7, 29])
-def test_profiles_bytes_do_not_depend_on_the_block_row_count(rows, monkeypatch):
-    # each tail is one einsum over its own row, so the rows beside it change no bit
-    sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
-    probes = np.linspace(-1.0, 3.0, 41)  # 30 positive probes, one block by default
-    default = sol.profiles([1.0, 2.0], probes)
-    monkeypatch.setattr(fluid, "_PROFILE_CELLS", rows * 2000)
-    for one, other in zip(default, sol.profiles([1.0, 2.0], probes)):
-        assert np.array_equal(one.server.tails, other.server.tails)
-        assert one.server.total == other.server.total
+    whole = sol.profiles([1.0, 2.0], probes)
+    for i in range(0, probes.size, chunk):
+        part = probes[i : i + chunk]
+        for t, one, other in zip([1.0, 2.0], whole, sol.profiles([1.0, 2.0], part)):
+            assert _gap_to_the_direct_sum(sol, t, part, other) <= 1e-12
+            assert float(np.max(np.abs(one.server.tail_at(part) - other.server.tails))) <= 1e-12
+            assert one.server.total == other.server.total
 
 
 @pytest.mark.parametrize("probes", [np.linspace(-2.0, 0.0, 9), np.linspace(0.25, 2.0, 8),
@@ -514,10 +516,12 @@ def test_measures_at_server_probe_sets(probes, monkeypatch):
     state = equilibrium_state(lam, patience, service)
     sol = solve(_cfg(lam, patience, service, horizon=1.0), state.initial_condition())
     reference = _one_matrix_server_tails(sol, 1.0, probes)
-    shapes = _record_sf_matrices(monkeypatch, LogNormal)
+    sizes = _record_sf_sizes(monkeypatch, LogNormal)
     server = sol.measures_at(1.0, probes).server
-    positive = int(np.sum(probes > 0.0))
-    assert shapes == ([(positive, 1000)] if positive else [])  # no row for a probe <= 0
+    # the k = 1000 lags, then, when a probe is > 0, the grid up to M + k = (2000 + 6) + 1000
+    # in tiles of N = 2048 cells, from 0 and from 1044 = N - k - 4; a probe <= 0 reads the
+    # total busy mass
+    assert sizes == ([1000, 2048, 3006 - 1044] if probes[-1] > 0.0 else [1000])
     assert np.all(server.tails[probes <= 0.0] == server.total)
     assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
 
@@ -552,22 +556,80 @@ def test_profiles_match_one_matrix_at_every_time(service, start):
         assert profiles.buffer.total == sol.virtual[sol.grid_index(t)]
 
 
-def test_profiles_build_one_sf_table_for_a_batch(monkeypatch):
+_SERVICES = {"exp": Exponential(1.0), "lognormal": LogNormal.from_mean_cv(1.0, 1.0),
+             "hyperexp": HyperExponential((0.4, 0.6), (0.5, 2.0)), "uniform": Uniform(0.0, 2.0)}
+_PROBE_SETS = {  # with dt = 1e-3
+    "off the grid": np.linspace(-1.0, 3.0, 38),
+    "one positive probe": np.array([0.7123]),
+    "no positive probe": np.array([-1.0, -0.25, 0.0]),
+    "largest probe below 3 dt": np.array([-0.5, 0.0, 1e-4, 1.3e-3, 2.9e-3]),
+    "six tiles, beyond the horizon": np.linspace(-1.0, 12.0, 60),
+}
+
+
+@pytest.mark.parametrize("service", sorted(_SERVICES))
+@pytest.mark.parametrize("start", ["empty", "equilibrium"])
+def test_profiles_match_the_direct_sum(service, start):
+    # the FFT correlation, read by the 6-point stencil, against the direct sum over every
+    # probe and lag: 1e-12 on smooth service laws; at the kink of uniform(0, 2)'s survival
+    # at its support end the read is O(dt^2) off, 8.9e-8 here at dt = 1e-3
+    lam, patience, law = 1.5, LogNormal.from_mean_cv(1.0, 2.0), _SERVICES[service]
+    init = (equilibrium_state(lam, patience, law).initial_condition()
+            if start == "equilibrium" else None)
+    sol = solve(_cfg(lam, patience, law, horizon=2.0), init)
+    bound = 1e-7 if service == "uniform" else 1e-12
+    times = [1.5, 0.0, 2.0, 0.5, 1.5]  # unsorted, repeated, with t = 0
+    for name, probes in _PROBE_SETS.items():
+        for t, profiles in zip(times, sol.profiles(times, probes)):
+            assert _gap_to_the_direct_sum(sol, t, probes, profiles) <= bound, (name, t)
+            total = _one_matrix_server_tails(sol, t, np.zeros(1))[0]
+            assert abs(profiles.server.total - total) <= 1e-15, (name, t)
+
+
+def test_profiles_evaluate_service_sf_once_for_a_batch(monkeypatch):
     sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
     probes = np.linspace(-1.0, 3.0, 41)  # 30 positive probes
     times = np.round(np.arange(1, 11) * 0.2, 3)  # k = 200, 400, ..., 2000
-    shapes = _record_sf_matrices(monkeypatch, LogNormal)
-    sol.profiles(times, probes)
-    assert shapes == [(30, 2000)]  # 30 x k_max cells, not 30 x sum(k) = 30 x 11000
+    sizes = _record_sf_sizes(monkeypatch, LogNormal)
+    batch = sol.profiles(times, probes)
+    # the k_max lags, then M + k_max = (3000 + 6) + 2000 cells in tiles of N = 4096, from 0
+    # and from 2092 = N - k_max - 4: not 30 x k_max = 60000 nor 30 x sum(k) = 330000
+    assert sizes == [2000, 4096, 5006 - 2092]
+    for t, profiles in zip(times, batch):
+        assert _gap_to_the_direct_sum(sol, t, probes, profiles) <= 1e-15
+
+
+def test_profiles_memory_does_not_grow_with_the_largest_probe():
+    # probes to 1e4 = 1e7 steps of dt: one FFT over M + k cells would take 2**24 floats,
+    # 128 MiB an array; 256 tiles of N = 4096 cells take a few of 32 kB each
+    sol = solve(_cfg(1.5, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=2.0))
+    probes = np.linspace(-1e4, 1e4, 512)
+    tracemalloc.start()
+    try:
+        batch = sol.profiles([1.0, 2.0], probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"{peak / 2**20:.1f} MB"
+    for t, profiles in zip([1.0, 2.0], batch):
+        assert _gap_to_the_direct_sum(sol, t, probes, profiles) <= 1e-12
+
+
+@pytest.mark.parametrize("largest", [2.0**52 * 1e-3, 1e308, math.inf])
+def test_profiles_reject_a_probe_2_to_the_52_steps_out(largest):
+    sol = solve(_cfg(1.5, Exponential(1.0), Exponential(1.0), horizon=1.0))
+    with pytest.raises(fluid.FluidModelError, match=r"below 2\*\*52 steps of dt=0.001"):
+        sol.profiles([1.0], np.array([0.5, largest]))
+    sol.profiles([1.0], np.array([0.5, 2.0**51 * 1e-3]))   # reads from two tiles
 
 
 @pytest.mark.parametrize("times", [[0.00037, 0.5], [0.5, 1.0, 0.00037]], ids=["first", "last"])
-def test_profiles_reject_an_off_grid_time_before_any_sf_matrix(times, monkeypatch):
+def test_profiles_reject_an_off_grid_time_before_any_sf_call(times, monkeypatch):
     sol = solve(_cfg(1.0, Exponential(1.0), LogNormal.from_mean_cv(1.0, 1.0), horizon=1.0))
-    shapes = _record_sf_matrices(monkeypatch, LogNormal)
+    sizes = _record_sf_sizes(monkeypatch, LogNormal)
     with pytest.raises(ValueError, match="grid"):
         sol.profiles(times, np.linspace(-1.0, 1.0, 9))
-    assert shapes == []
+    assert sizes == []
 
 
 # ---------------------------------------------------------------- drain monotonicity
