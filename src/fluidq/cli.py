@@ -3,11 +3,12 @@
 One JSON config file drives a run; --set key=value overrides individual
 fields for sweep scripting.  MODE_KEYS is the one table of each mode's keys:
 it gives each key its default, or marks it required.  parse_config is the one
-check phase: it returns every input built and typed, so the mode runners only
-compute and write, and out is made with the first file.  simulate and compare
-run their replications in processes forked with os.fork, one per CPU this
-process may use, each with a fixed share of the tasks and one pipe that carries
-all its results after its last task; they write the same bytes as in process.
+check phase: it returns every input built and typed, or raises one ConfigError,
+code 5 for any invalid input, so the mode runners only compute and write, and
+out is made with the first file.  simulate and compare run their replications
+in processes forked with os.fork, one per CPU this process may use, each with a
+fixed share of the tasks and one pipe that carries all its results after its
+last task; they write the same bytes as in process, and a failed run kills them.
 compare forks before its fluid solve: a worker returns its replications read on
 the probe grid, and the parent, once it has solved, takes the gaps.  Exit codes:
 0 success, 1 solver invariant violation, 2 missing config file, 3 malformed
@@ -98,7 +99,7 @@ def _number(value, what: str, least=None):
     ok = is_finite_number(value) and (least is None or float(value).is_integer() and value >= least)
     if not ok:
         kind = "a finite number" if least is None else f"a whole number >= {least}"
-        raise ConfigError(EXIT_MODE_MISMATCH, f"{what} must be {kind}, got {value!r}")
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
     return float(value) if least is None else int(value)
 
 
@@ -113,13 +114,13 @@ def _numbers(raw: dict, keys: dict) -> dict:
         value = raw[key]
         listed = key in _TIME_LISTS or (key == "n" and isinstance(value, list))
         if listed and not isinstance(value, list):
-            raise ConfigError(EXIT_MODE_MISMATCH, f"{key} must be a list, got {value!r}")
+            raise ValueError(f"{key} must be a list, got {value!r}")
         if value == [] and keys[key] is REQUIRED:
-            raise ConfigError(EXIT_MODE_MISMATCH, f"{key} must not be an empty list")
+            raise ValueError(f"{key} must not be an empty list")
         entries = [_number(v, f"{key} entry" if listed else key, least)
                    for v in (value if listed else [value])]
         if key == "snapshot_times" and entries != sorted(entries):
-            raise ConfigError(EXIT_MODE_MISMATCH, f"snapshot_times must be sorted, got {value!r}")
+            raise ValueError(f"snapshot_times must be sorted, got {value!r}")
         typed[key] = entries if key == "n" else tuple(entries) if listed else entries[0]
     return typed
 
@@ -131,7 +132,7 @@ def _build_laws(raw: dict) -> None:
             try:
                 raw[key] = distribution_from_dict(raw[key])
             except DistributionError as exc:
-                raise ConfigError(EXIT_MODE_MISMATCH, f"invalid {key!r} distribution: {exc}") from exc
+                raise ValueError(f"invalid {key!r} distribution: {exc}") from exc
 
 
 def _fluid_config(cfg: dict) -> fluid.FluidConfig:
@@ -148,12 +149,12 @@ def _initial_condition(spec, fc: fluid.FluidConfig) -> fluid.InitialCondition:
     if spec in ("equilibrium", {"kind": "equilibrium"}):
         return eq.equilibrium_state(fc.arrival_rate, fc.patience, fc.service).initial_condition()
     if not (isinstance(spec, dict) and set(spec) <= {"r0", "server_profile"}):
-        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid initial condition spec: {spec!r}")
+        raise ValueError(f"invalid initial condition spec: {spec!r}")
     profile_spec = spec.get("server_profile", {"kind": "empty"})
     kind = profile_spec.get("kind", "empty") if isinstance(profile_spec, dict) else None
     keys = {"kind"} if kind == "empty" else {"kind", "z"}   # an empty profile has no mass z
     if kind not in ("empty", *_SERVER_SHAPES) or not set(profile_spec) <= keys:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"invalid server profile {profile_spec!r}")
+        raise ValueError(f"invalid server profile {profile_spec!r}")
     if kind == "empty":
         profile = fluid.EMPTY_SERVERS
     else:
@@ -165,15 +166,13 @@ def _initial_condition(spec, fc: fluid.FluidConfig) -> fluid.InitialCondition:
 def _probes(spec, horizon: float) -> np.ndarray:
     spec = spec or {}
     if not (isinstance(spec, dict) and set(spec) <= {"lo", "hi", "count"}):
-        raise ConfigError(EXIT_MODE_MISMATCH,
-                          f"probes must be an object with keys lo, hi and count, got {spec!r}")
+        raise ValueError(f"probes must be an object with keys lo, hi and count, got {spec!r}")
     count = _number(spec.get("count", 512), "probes count", least=2)
     try:
         return uniform_probes(_number(spec.get("lo", -horizon), "probes lo"),
                               _number(spec.get("hi", horizon), "probes hi"), count)
     except MemoryError as exc:
-        raise ConfigError(EXIT_MODE_MISMATCH,
-                          f"probe grid of {count} points does not fit in memory") from exc
+        raise ValueError(f"probe grid of {count} points does not fit in memory") from exc
 
 
 def parse_config(path: str, overrides: dict | None = None) -> dict:
@@ -182,6 +181,7 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
     Each input comes back built under its key: numbers as float, or int where a whole one
     is asked for; n as a list, the time lists as tuples; laws as DistributionSpecs; probes
     as the grid array; initial as the fluid.ValidatedInitial of the mode's FluidConfig.
+    Any invalid input is a ConfigError of code 5, whichever check or library call finds it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -196,60 +196,55 @@ def parse_config(path: str, overrides: dict | None = None) -> dict:
         raise ConfigError(EXIT_MALFORMED, "config must be a JSON object")
     if overrides:
         raw = {**raw, **overrides}
-
     unknown = sorted(set(raw) - _ALL_KEYS)
     if unknown:
         raise ConfigError(EXIT_UNKNOWN_KEY, f"unknown config key(s): {', '.join(unknown)}")
+    try:
+        return _checked(raw)
+    except ValueError as exc:
+        raise ConfigError(EXIT_MODE_MISMATCH, str(exc)) from exc
+
+
+def _checked(raw: dict) -> dict:
+    """raw's inputs, each checked and built; a ValueError names the first invalid one."""
     mode = raw.get("mode")
     if mode not in MODES:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"mode must be one of {MODES}, got {mode!r}")
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     keys = {**_COMMON_KEYS, **MODE_KEYS[mode]}
     misplaced = sorted(set(raw) - set(keys))
     if misplaced:
-        raise ConfigError(EXIT_MODE_MISMATCH,
-                          f"field(s) not applicable to mode {mode!r}: {', '.join(misplaced)}")
+        raise ValueError(f"field(s) not applicable to mode {mode!r}: {', '.join(misplaced)}")
     missing = sorted(key for key, default in keys.items() if default is REQUIRED and key not in raw)
     if missing:
-        raise ConfigError(EXIT_MODE_MISMATCH,
-                          f"mode {mode!r} requires missing field(s): {', '.join(missing)}")
+        raise ValueError(f"mode {mode!r} requires missing field(s): {', '.join(missing)}")
     for key, default in keys.items():
         if default is not REQUIRED and default is not OPTIONAL:
             raw.setdefault(key, default)   # a list or dict default comes back rebuilt
     if not (isinstance(raw["out"], str) and raw["out"]):
-        raise ConfigError(EXIT_MODE_MISMATCH, f"out must be a directory name, got {raw['out']!r}")
+        raise ValueError(f"out must be a directory name, got {raw['out']!r}")
     raw.update(_numbers(raw, keys))
     _build_laws(raw)
     if mode in ("fluid-solve", "compare"):   # the modes that solve the fluid model
-        try:
-            raw["service"].validate_as_service()
-            raw["patience"].validate_as_patience()
-        except DistributionError as exc:
-            raise ConfigError(EXIT_MODE_MISMATCH, str(exc)) from exc
+        raw["service"].validate_as_service()
+        raw["patience"].validate_as_patience()
     if "initial" in raw:   # fluid-solve, simulate and compare start the fluid model
         fc = _fluid_config(raw)
         for key in _TIME_LISTS & raw.keys():
             for t in raw[key]:
-                try:
-                    fc.grid_index(t, f"{key} entry")
-                except fluid.FluidModelError as exc:
-                    raise ConfigError(EXIT_MODE_MISMATCH, str(exc)) from exc
+                fc.grid_index(t, f"{key} entry")
         raw["initial"] = fluid.validate_initial(fc, _initial_condition(raw["initial"], fc))
     files = {}   # profile file name -> the profile time that writes it
     for t in raw.get("profile_times", ()):
         name = _PROFILE_FILE.format(t)
         if name in files:
-            raise ConfigError(EXIT_MODE_MISMATCH,
-                              f"profile_times entries {files[name]!r} and {t!r} both write {name}")
+            raise ValueError(f"profile_times entries {files[name]!r} and {t!r} both write {name}")
         files[name] = t
     if "probes" in raw:   # fluid-solve and compare, which read the fluid model on them
         raw["probes"] = _probes(raw["probes"], raw["horizon"])
-        try:
-            _fluid_config(raw).probe_steps(raw["probes"])
-        except fluid.FluidModelError as exc:
-            raise ConfigError(EXIT_MODE_MISMATCH, str(exc)) from exc
+        _fluid_config(raw).probe_steps(raw["probes"])
     if "arrival" in raw and abs(raw["arrival"].mean * raw["arrival_rate"] - 1.0) > 1e-9:
-        raise ConfigError(EXIT_MODE_MISMATCH, f"arrival mean {raw['arrival'].mean!r} is not "
-                                              f"1/arrival_rate = {1.0 / raw['arrival_rate']!r}")
+        raise ValueError(f"arrival mean {raw['arrival'].mean!r} is not "
+                         f"1/arrival_rate = {1.0 / raw['arrival_rate']!r}")
     return raw
 
 
@@ -333,17 +328,14 @@ def _sim_tasks(cfg: dict) -> list:
     return tasks
 
 
-def _serve(fn, share: list, cancel, reads: list, write: int):
-    """A forked worker's whole life: it closes the pipe read ends it inherited, runs
-    fn(*task) for each task of its share, each started only while cancel[0] is 0, writes
+def _serve(fn, share: list, write: int):
+    """A forked worker's whole life: it runs fn(*task) for each task of its share, writes
     one pickle of (True, results) or (False, the exception) to write, and leaves through
     os._exit, so it never returns into the caller's stack."""
     code = 1
     try:
-        for fd in reads:   # else a write after the parent closed its end would wait forever
-            os.close(fd)
         try:
-            message = True, [fn(*task) for task in share if not cancel[0]]
+            message = True, [fn(*task) for task in share]
         except Exception as exc:
             message = False, exc
         with open(write, "wb") as fh:
@@ -376,27 +368,25 @@ def _map(fn, tasks: list):
     w + 2W, ...  Only after its last task does it send its results, one pickle down its
     own pipe, so no worker waits on a full pipe while the caller works in the block.  The
     first read takes the pipes in worker order: a worker that died raises WorkerDied, a
-    worker's exception is raised again.  An error in the block tells every worker to
-    start no further task and waits for the running ones.  Every child is reaped and
-    every pipe closed on each way out."""
+    worker's exception is raised again.  On each way out every worker is killed and
+    reaped, then every pipe closed: an error in the block stops the replications at once."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))
     if workers < 2:
         yield (fn(*task) for task in tasks)
         return
-    import mmap
+    import signal
 
-    reads, pids, cancel = [], [], None
+    reads, pids = [], []
     try:
         try:
-            cancel = mmap.mmap(-1, 1)   # one byte shared with the workers: nonzero cancels
             for w in range(workers):
                 read, write = os.pipe()
                 reads.append(read)
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _serve(fn, tasks[w::workers], cancel, reads, write)
+                        _serve(fn, tasks[w::workers], write)
                     pids.append(pid)
                 finally:
                     os.close(write)
@@ -410,13 +400,11 @@ def _map(fn, tasks: list):
 
         yield results()
     finally:
-        if cancel is not None:
-            cancel[0] = 1
-            cancel.close()   # the workers keep their own mappings
-        for read in reads:   # a worker still writing then fails and exits
-            os.close(read)
-        for pid in pids:
+        for pid in pids:   # killed, not waited for: one may be mid-task or on a full pipe
+            os.kill(pid, signal.SIGKILL)   # an exited worker keeps its pid until reaped
             os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
 
 
 def _simulate_rows(n: int, sim_cfg: simulator.SimConfig, i: int) -> np.ndarray:

@@ -101,7 +101,8 @@ class FluidConfig:
         return self.grid_index(self.horizon, "horizon")
 
     def probe_steps(self, probes) -> np.ndarray:
-        """probes / dt, each checked below 2**52, where a float holds a whole step count."""
+        """probes / dt, each checked below 2**52 (a NaN is not), where a float holds a whole
+        step count."""
         probes = np.asarray(probes, dtype=float)
         if not np.all(probes < 2.0**52 * self.dt):   # checked before a quotient can overflow
             raise FluidModelError(f"probes must lie below 2**52 steps of dt={self.dt!r}")
@@ -321,9 +322,10 @@ class FluidSolution:
         cfg, lam = self.config, self.config.arrival_rate
         ks = [self.grid_index(t) for t in times]
         probes = np.sort(np.asarray(probes, dtype=float))
-        positive = probes[probes > 0.0]
+        on = probes > 0.0
+        positive, u = probes[on], cfg.probe_steps(probes)[on]   # a NaN, not > 0, checked too
         kmax = max(ks, default=0)
-        coeff, u = self._entries(kmax), cfg.probe_steps(positive)
+        coeff = self._entries(kmax)
         sf_lags = cfg.service.sf((np.arange(kmax - 1, -1, -1) + 0.5) * cfg.dt)   # before the FFTs
         reach = math.ceil(u[-1]) + 6 if u.size else 0   # M
         size = 1 << (min(reach, kmax + 6) + kmax - 1).bit_length()   # N

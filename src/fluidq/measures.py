@@ -32,12 +32,13 @@ class TailMeasure:
         object.__setattr__(self, "total", float(self.total))
         if grid.ndim != 1 or grid.size == 0 or grid.shape != tails.shape:
             raise ValueError("grid and tails must be equal-length 1-d arrays")
-        if np.any(np.diff(grid) <= 0.0):
+        # each check asks that its bound holds, so a NaN, which compares False, fails it
+        if not np.all(np.diff(grid) > 0.0) or np.isnan(grid[0]):
             raise ValueError("grid must be strictly increasing")
         scale = max(abs(self.total), 1.0)
-        if np.any(np.diff(tails) > _TOL * scale):
+        if not np.all(np.diff(tails) <= _TOL * scale):
             raise ValueError("tails must be nonincreasing")
-        if np.any(tails < -_TOL * scale) or np.any(tails > self.total + _TOL * scale):
+        if not np.all((tails >= -_TOL * scale) & (tails <= self.total + _TOL * scale)):
             raise ValueError("tails must lie in [0, total]")
         if self.interpolation not in ("linear", "step"):
             raise ValueError("interpolation must be 'linear' or 'step'")

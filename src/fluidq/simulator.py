@@ -49,8 +49,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
-        if self.num_servers < 1:
-            raise ValueError("num_servers must be at least 1")
+        if not (isinstance(self.num_servers, (int, np.integer)) and self.num_servers >= 1):
+            raise ValueError(f"num_servers must be a whole number >= 1, got {self.num_servers!r}")
         if not all(0.0 <= t < np.inf for t in self.snapshot_times):
             raise ValueError("snapshot times must be finite and nonnegative")
         if list(self.snapshot_times) != sorted(self.snapshot_times):

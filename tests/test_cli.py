@@ -60,6 +60,14 @@ def test_missing_required_field_is_exit_code_5(tmp_path):
     assert "n" in str(err.value)
 
 
+@pytest.mark.parametrize("field", [{"initial": {"r0": 0.5}}, {"dt": 0.0}],
+                         ids=["queue without full servers", "dt not positive"])
+def test_an_input_the_library_refuses_is_exit_code_5(field, tmp_path):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(_write_config(tmp_path, {**_SOLVE, **field}))
+    assert err.value.exit_code == cli.EXIT_MODE_MISMATCH
+
+
 def test_missing_file_is_exit_code_2(tmp_path):
     with pytest.raises(cli.ConfigError) as err:
         cli.parse_config(str(tmp_path / "nope.json"))
@@ -426,7 +434,7 @@ def test_a_forked_compare_loads_no_process_pool_module(tmp_path):
            "    sys.exit('compare failed')\n"
            "if len(forks) != 2:\n"
            "    sys.exit(f'{len(forks)} workers forked, not 2')")
-    assert _modules_after(("multiprocessing", "concurrent"), run, path) == []
+    assert _modules_after(("multiprocessing", "concurrent", "mmap"), run, path) == []
 
 
 def test_an_arrival_law_of_mean_one_over_arrival_rate_runs(tmp_path):
@@ -683,25 +691,6 @@ def test_a_replication_process_that_cannot_be_started_exits_6(tmp_path, monkeypa
     assert not out.exists()
 
 
-def test_a_shared_cancel_byte_that_cannot_be_mapped_exits_6(tmp_path, monkeypatch, capsys):
-    import mmap
-
-    def refused(*args, **kwargs):
-        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
-
-    monkeypatch.setattr(mmap, "mmap", refused)
-    _cpus(monkeypatch, 2)
-    doc = {**_SIM, "mode": "compare", "n": [4], "replications": 2}
-    out = tmp_path / "out"
-    with _nothing_left():
-        assert cli.main(["--config", _write_config(tmp_path, doc),
-                         "--out", str(out)]) == cli.EXIT_WORKER_DIED
-    assert capsys.readouterr().err == (
-        f"error: a replication process could not be started: [Errno {errno.ENOMEM}] "
-        f"{os.strerror(errno.ENOMEM)}\n")
-    assert not out.exists()
-
-
 def test_probes_far_beyond_the_horizon_solve_in_bounded_memory(tmp_path):
     # hi = 1e6 is 1e8 steps of dt: one FFT over the whole grid would take 2**27 floats
     # (1 GiB an array); each probe's tile takes 256
@@ -713,15 +702,20 @@ def test_probes_far_beyond_the_horizon_solve_in_bounded_memory(tmp_path):
     assert rows[0, 2] > 0.0 and rows[1:, 2].tolist() == [0.0, 0.0]   # sf(5e5) underflows
 
 
-def _recorded_slow_runs(monkeypatch, records):
-    """simulator.run, patched to leave one file per replication it starts and to take 0.2 s
-    more, so that a replication is still running when the parent's solve ends."""
+def _recorded_slow_runs(monkeypatch, records, ends=None):
+    """simulator.run, patched to leave one file in records per replication it starts, and
+    in ends, when given, one per replication it ends, and to take 0.2 s more, so that a
+    replication is still running when the parent's solve ends."""
     run = simulator.run
 
     def slow(sim_cfg, replication_index=0):
-        (records / f"{sim_cfg.num_servers}-{replication_index}").touch()
+        name = f"{sim_cfg.num_servers}-{replication_index}"
+        (records / name).touch()
         time.sleep(0.2)
-        return run(sim_cfg, replication_index)
+        snaps = run(sim_cfg, replication_index)
+        if ends is not None:
+            (ends / name).touch()
+        return snaps
 
     monkeypatch.setattr(simulator, "run", slow)   # forked workers inherit the patch
 
@@ -733,9 +727,10 @@ def _recorded_slow_runs(monkeypatch, records):
      cli.EXIT_NO_CONVERGENCE)], ids=["invariant", "no convergence"])
 def test_a_fluid_error_while_the_replications_run_cancels_them(error, code, tmp_path,
                                                                monkeypatch, capsys):
-    records = tmp_path / "runs"
+    records, ends = tmp_path / "runs", tmp_path / "ends"
     records.mkdir()
-    _recorded_slow_runs(monkeypatch, records)
+    ends.mkdir()
+    _recorded_slow_runs(monkeypatch, records, ends)
 
     def solve(*args, **kwargs):   # fails once a replication runs
         while not any(records.iterdir()):
@@ -751,9 +746,10 @@ def test_a_fluid_error_while_the_replications_run_cancels_them(error, code, tmp_
     assert capsys.readouterr().err.splitlines() == [
         str(error) if code == cli.EXIT_INVARIANT else f"error: {error}"]
     assert not out.exists()
-    # each of the 2 workers finishes the replication it runs, 0.2 s, and starts no other
-    # of its 10, where waiting for all would take 2 s
+    # each of the 2 workers is killed in the first replication it runs (0.2 s), if it has
+    # started one: it starts no other of its 10 and ends none
     assert 1 <= len(list(records.iterdir())) <= 2
+    assert list(ends.iterdir()) == []
 
 
 def test_compare_starts_its_replications_before_the_fluid_solve(tmp_path, monkeypatch, forks):

@@ -526,6 +526,14 @@ def test_measures_at_server_probe_sets(probes, monkeypatch):
     assert float(np.max(np.abs(server.tails - reference))) <= 1e-15
 
 
+def test_a_nan_probe_is_refused():
+    # np.sort puts a NaN last, and it is not > 0: unchecked, it took a nonpositive probe's
+    # place and moved every positive probe's tail one up, so 0.5 read the total 0.948
+    sol = solve(_cfg(1.5, Exponential(1.0), Exponential(1.0), horizon=1.0))
+    with pytest.raises(fluid.FluidModelError, match="probes must lie below"):
+        sol.measures_at(1.0, [-1.0, 0.5, math.nan])
+
+
 def test_solve_rejects_a_horizon_off_the_dt_grid():
     with pytest.raises(fluid.FluidModelError, match="horizon 1.0 is not on the grid of dt=0.3"):
         solve(_cfg(1.2, Exponential(1.0), Exponential(1.0), horizon=1.0, dt=0.3))

@@ -115,6 +115,18 @@ def test_constructor_validation():
         TailMeasure(np.array([0.0]), np.array([0.0]), 0.0, "cubic")
 
 
+@pytest.mark.parametrize("grid,tails,total,error", [
+    ([0.0, np.nan, 1.0], [1.0, 0.5, 0.0], 1.0, "strictly increasing"),
+    ([np.nan], [0.0], 0.0, "strictly increasing"),
+    ([0.0, 0.5, 1.0], [1.0, np.nan, 0.0], 1.0, "nonincreasing"),
+    ([0.0, 0.5, 1.0], [1.0, 0.5, 0.0], np.nan, "tails must"),   # every bound is NaN
+], ids=["grid", "grid of one point", "tails", "total"])
+def test_a_nan_fails_the_constructor_checks(grid, tails, total, error):
+    # a NaN compares False, so a check that only looks for bad entries lets it through
+    with pytest.raises(ValueError, match=error):
+        TailMeasure(np.array(grid), np.array(tails), total)
+
+
 def test_inverse_tail_linear():
     m = TailMeasure(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0, "linear")
     assert m.inverse_tail(0.5) == pytest.approx(0.5, abs=1e-12)

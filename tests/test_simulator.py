@@ -413,6 +413,15 @@ def test_negative_schedule_times_are_rejected():
     assert run(cfg, arrival_times=[0.0, 0.2])[-1].completed == 1
 
 
+@pytest.mark.parametrize("n", [0, 2.5, 4.0, "4"])
+def test_num_servers_must_be_a_whole_number_of_at_least_one(n):
+    # 2.5 passed a bare n >= 1 check, then failed in run on [0.0] * n
+    with pytest.raises(ValueError, match="num_servers must be a whole number >= 1"):
+        SimConfig(n, Exponential(1.0), Exponential(1.0), Exponential(1.0), snapshot_times=(1.0,))
+    assert SimConfig(np.int64(4), Exponential(1.0), Exponential(1.0), Exponential(1.0),
+                     snapshot_times=(1.0,)).num_servers == 4
+
+
 @pytest.mark.parametrize("t", [math.inf, math.nan, -0.5])
 def test_snapshot_times_must_be_finite_and_nonnegative(t):
     # the run ends at the last snapshot time: at inf the renewal stream would never end
